@@ -376,7 +376,6 @@ int Crawl(const graph::Graph& graph, core::WalkerType type, uint64_t budget,
             << " (group budget " << budget << ")\n"
             << "tier attribution:  "
             << scrape.Value("hw_access_cache_hits_total") << " memory + "
-            << scrape.Value("hw_access_store_hits_total") << " store + "
             << scrape.Value("hw_net_wire_fetches_total") << " wire  ("
             << scrape.Value("hw_net_singleflight_joins_total") << " joins, "
             << scrape.Value("hw_access_budget_refusals_total")

@@ -96,6 +96,11 @@ def run_bench(binary, min_time, repetitions):
         raise RuntimeError(f"{binary.name} emitted unparseable JSON: {err}")
 
 
+# Nanoseconds per Google Benchmark time_unit; a bench registered with
+# ->Unit(benchmark::kMillisecond) reports real_time/cpu_time in ms.
+NS_PER_TIME_UNIT = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000}
+
+
 def distill(doc, repetitions):
     """Per-benchmark medians: {name: {items_per_second, cpu_ns, real_ns}}."""
     rows = {}
@@ -109,9 +114,14 @@ def distill(doc, repetitions):
             name = bench["run_name"]
         else:
             name = bench["name"]
+        unit = bench.get("time_unit")
+        if unit not in NS_PER_TIME_UNIT:
+            raise RuntimeError(
+                f"benchmark {name}: unknown time_unit {unit!r}")
+        scale = NS_PER_TIME_UNIT[unit]
         entry = {
-            "real_ns": round(bench["real_time"], 3),
-            "cpu_ns": round(bench["cpu_time"], 3),
+            "real_ns": round(bench["real_time"] * scale, 3),
+            "cpu_ns": round(bench["cpu_time"] * scale, 3),
         }
         if "items_per_second" in bench:
             entry["items_per_second"] = round(bench["items_per_second"])
@@ -175,7 +185,6 @@ def print_core_caveat(num_cpus):
 REQUIRED_SCRAPE_METRICS = [
     "hw_access_cache_hits_total",
     "hw_access_cache_misses_total",
-    "hw_access_store_hits_total",
     "hw_net_singleflight_joins_total",
     "hw_net_wire_fetches_total",
     "hw_access_budget_refusals_total",
@@ -254,37 +263,33 @@ def scrape_summary(metrics):
     """Cache-tier hit rates + wire attribution from one scrape.
 
     identity_residual MUST be 0: the access layer attributes every cache
-    miss to exactly one of wire fetch / store hit / singleflight join /
-    budget refusal / fetch error.
+    miss to exactly one of wire fetch / singleflight join / budget refusal
+    / fetch error.
     """
     hits = metrics["hw_access_cache_hits_total"]
     misses = metrics["hw_access_cache_misses_total"]
-    store = metrics["hw_access_store_hits_total"]
     joins = metrics["hw_net_singleflight_joins_total"]
     wire = metrics["hw_net_wire_fetches_total"]
     refused = metrics["hw_access_budget_refusals_total"]
     errors = metrics["hw_access_fetch_errors_total"]
     lookups = hits + misses
-    residual = misses - (wire + store + joins + refused + errors)
+    residual = misses - (wire + joins + refused + errors)
     if residual != 0:
         raise RuntimeError(
             f"miss-attribution identity violated: {misses} misses != "
-            f"{wire} wire + {store} store + {joins} joins + {refused} "
-            f"refused + {errors} errors (residual {residual})")
+            f"{wire} wire + {joins} joins + {refused} refused + "
+            f"{errors} errors (residual {residual})")
     return {
         "cache_tier": {
             "lookups": lookups,
             "memory_hits": hits,
-            "store_hits": store,
             "wire_fetches": wire,
             "memory_hit_rate": round(hits / lookups, 4) if lookups else 0.0,
-            "store_hit_rate": round(store / lookups, 4) if lookups else 0.0,
             "wire_rate": round(wire / lookups, 4) if lookups else 0.0,
         },
         "wire_attribution": {
             "cache_misses": misses,
             "wire_fetches": wire,
-            "store_hits": store,
             "singleflight_joins": joins,
             "budget_refusals": refused,
             "fetch_errors": errors,

@@ -61,12 +61,11 @@ PROM="$WORKDIR/run2.prom"
 metric() { awk -v m="$1" '$1 == m {print $2}' "$PROM"; }
 MISSES=$(metric hw_access_cache_misses_total)
 WIRE=$(metric hw_net_wire_fetches_total)
-STORE=$(metric hw_access_store_hits_total)
 JOINS=$(metric hw_net_singleflight_joins_total)
 REFUSED=$(metric hw_access_budget_refusals_total)
 ERRORS=$(metric hw_access_fetch_errors_total)
 check "scrape attributes every miss to exactly one outcome" \
-    test "$MISSES" -eq "$((WIRE + STORE + JOINS + REFUSED + ERRORS))"
+    test "$MISSES" -eq "$((WIRE + JOINS + REFUSED + ERRORS))"
 check "scrape bills exactly the wire fetches" \
     test "$(metric hw_access_charged_queries_total)" = "$WIRE"
 check "charged-queries line agrees with the scrape" \

@@ -332,6 +332,13 @@ bool HistoryCache::Contains(graph::NodeId v) const {
   return shard.index.Find(v) != nullptr;
 }
 
+HistoryCache::Entry HistoryCache::Peek(graph::NodeId v) const {
+  const Shard& shard = shards_[ShardIndexOf(v)];
+  std::shared_lock<util::RwSpinLock> lock(shard.mu);
+  const Slot* slot = shard.index.Find(v);
+  return slot == nullptr ? Entry() : slot->entry;
+}
+
 void HistoryCache::Clear() {
   for (uint32_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];

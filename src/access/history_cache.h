@@ -142,6 +142,11 @@ class HistoryCache {
   // before — the guarantee the pipeline's late-hit probe relies on.
   bool Contains(graph::NodeId v) const;
 
+  // Contains() that hands back the entry (null on miss), with the same
+  // no-side-effects guarantee. The synchronous miss path's singleflight
+  // re-probe uses it so that probe never skews hit/miss stats.
+  Entry Peek(graph::NodeId v) const;
+
   // Drops every entry and resets entries/bytes; cumulative counters
   // (hits/misses/insertions/evictions) are preserved.
   void Clear();

@@ -4,7 +4,6 @@
 
 #include "access/async_fetcher.h"
 #include "access/history_journal.h"
-#include "access/history_tier.h"
 #include "util/check.h"
 
 namespace histwalk::access {
@@ -19,7 +18,6 @@ GroupObsCounters ResolveObsCounters(obs::Registry* registry) {
   GroupObsCounters obs;
   obs.cache_hits = reg.counter("hw_access_cache_hits_total");
   obs.cache_misses = reg.counter("hw_access_cache_misses_total");
-  obs.store_hits = reg.counter("hw_access_store_hits_total");
   obs.singleflight_joins = reg.counter("hw_net_singleflight_joins_total");
   obs.wire_fetches = reg.counter("hw_net_wire_fetches_total");
   obs.budget_refusals = reg.counter("hw_access_budget_refusals_total");
@@ -105,11 +103,25 @@ std::vector<HistoryCache::Entry> SharedAccessGroup::StoreFetchedBatch(
   return stored;
 }
 
-HistoryCache::Entry SharedAccessGroup::StoreWarm(
-    graph::NodeId v, std::span<const graph::NodeId> neighbors) {
-  // Deliberately bypasses the journal (the record came FROM durable
-  // history) and the budget/wire accounting (history is free).
-  return cache_->Put(v, neighbors, nullptr);
+bool SharedAccessGroup::ClaimFetch(graph::NodeId v,
+                                   HistoryCache::Entry* entry) {
+  std::unique_lock<std::mutex> lock(fetching_mu_);
+  fetching_cv_.wait(lock, [&] { return !fetching_.contains(v); });
+  // Re-probe: the fetch just waited out, or one that landed between the
+  // caller's cache miss and this lock, may have stored `v`. Peek, not Get,
+  // so the probe leaves the cache's hit/miss stats alone.
+  *entry = cache_->Peek(v);
+  if (*entry != nullptr) return false;
+  fetching_.insert(v);
+  return true;
+}
+
+void SharedAccessGroup::FinishFetch(graph::NodeId v) {
+  {
+    std::lock_guard<std::mutex> lock(fetching_mu_);
+    fetching_.erase(v);
+  }
+  fetching_cv_.notify_all();
 }
 
 bool SharedAccessGroup::TryCharge() {
@@ -137,6 +149,28 @@ SharedAccess::SharedAccess(SharedAccessGroup* group)
 void SharedAccess::RecordMissOutcome(graph::NodeId v,
                                      obs::FlightEventKind kind,
                                      uint64_t start_us) {
+  const GroupObsCounters& obs = group_->obs_;
+  obs::Counter* counter = obs.wire_fetches;
+  const char* result = "wire";
+  switch (kind) {
+    case obs::FlightEventKind::kWireFetch:
+      break;
+    case obs::FlightEventKind::kSingleflightJoin:
+      counter = obs.singleflight_joins;
+      result = "join";
+      break;
+    case obs::FlightEventKind::kBudgetRefusal:
+      counter = obs.budget_refusals;
+      result = "refused";
+      break;
+    case obs::FlightEventKind::kError:
+      counter = obs.fetch_errors;
+      result = "error";
+      break;
+  }
+  counter->Inc();
+  HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
+                        ProbeArgs(*group_->cache_, v, result));
   obs::FlightRecorder* flight = group_->flight_;
   if (flight == nullptr) return;
   obs::FlightEvent event;
@@ -170,83 +204,53 @@ util::Result<std::span<const graph::NodeId>> SharedAccess::Neighbors(
     HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
                           ProbeArgs(*group_->cache_, v, "hit"));
   } else {
-    // Every branch below attributes this miss to exactly one outcome
-    // counter/flight kind — the invariant obs_identity_test pins.
+    // Every miss is attributed to exactly one outcome counter/flight kind
+    // (RecordMissOutcome) — the invariant obs_identity_test pins.
     obs.cache_misses->Inc();
     const uint64_t miss_start_us =
         group_->flight_ != nullptr ? group_->flight_->NowUs() : 0;
-    if (group_->tier_ != nullptr) {
-      // Second-tier probe: durable history answers the miss without wire,
-      // budget or journal traffic.
-      if (HistoryCache::Entry warm = group_->tier_->Lookup(v)) {
-        entry = group_->StoreWarm(v, std::span<const graph::NodeId>(*warm));
-        obs.store_hits->Inc();
-        HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                              ProbeArgs(*group_->cache_, v, "store"));
-        RecordMissOutcome(v, obs::FlightEventKind::kStoreHit, miss_start_us);
-      }
-    }
-    if (entry == nullptr && group_->fetcher_ != nullptr) {
+    util::Status status;
+    obs::FlightEventKind kind = obs::FlightEventKind::kWireFetch;
+    if (group_->fetcher_ != nullptr) {
       // Async miss path: the attached fetcher batches / deduplicates this
       // fetch with the other walkers' outstanding misses; budget charging
       // happens inside the fetcher, once per wire fetch.
       auto fetched = group_->fetcher_->FetchShared(v);
       if (!fetched.ok()) {
-        const bool refused =
-            fetched.status().code() == util::StatusCode::kBudgetExhausted;
-        (refused ? obs.budget_refusals : obs.fetch_errors)->Inc();
-        HW_TRACE_INSTANT_ARGS(
-            tracer_, trace_track_, "cache_probe",
-            ProbeArgs(*group_->cache_, v, refused ? "refused" : "error"));
-        RecordMissOutcome(v,
-                          refused ? obs::FlightEventKind::kBudgetRefusal
-                                  : obs::FlightEventKind::kError,
-                          miss_start_us);
-        return fetched.status();
-      }
-      entry = std::move(fetched->entry);
-      if (fetched->charged_this_call) {
-        ++charged_fetches_;
-        obs.wire_fetches->Inc();
-        HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                              ProbeArgs(*group_->cache_, v, "wire"));
-        RecordMissOutcome(v, obs::FlightEventKind::kWireFetch,
-                          miss_start_us);
+        status = fetched.status();
+        kind = status.code() == util::StatusCode::kBudgetExhausted
+                   ? obs::FlightEventKind::kBudgetRefusal
+                   : obs::FlightEventKind::kError;
       } else {
-        obs.singleflight_joins->Inc();
-        HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                              ProbeArgs(*group_->cache_, v, "join"));
-        RecordMissOutcome(v, obs::FlightEventKind::kSingleflightJoin,
-                          miss_start_us);
+        entry = std::move(fetched->entry);
+        if (!fetched->charged_this_call) {
+          kind = obs::FlightEventKind::kSingleflightJoin;
+        }
       }
-    } else if (entry == nullptr) {
-      // Synchronous miss path: this view pays for a real fetch. A refused
-      // call is not issued at all, so it leaves the charge accounting
-      // untouched (same semantics as GraphAccess).
+    } else if (!group_->ClaimFetch(v, &entry)) {
+      // Synchronous miss path, another view fetched `v` meanwhile: this
+      // miss joins that fetch instead of paying for its own.
+      kind = obs::FlightEventKind::kSingleflightJoin;
+    } else {
+      // Synchronous miss path: this view claimed `v` and pays for a real
+      // fetch. A refused call is not issued at all, so it leaves the charge
+      // accounting untouched (same semantics as GraphAccess).
       if (!group_->TryCharge()) {
-        obs.budget_refusals->Inc();
-        HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                              ProbeArgs(*group_->cache_, v, "refused"));
-        RecordMissOutcome(v, obs::FlightEventKind::kBudgetRefusal,
-                          miss_start_us);
-        return util::Status::BudgetExhausted("group query budget exhausted");
-      }
-      auto fetched = group_->backend_->FetchNeighbors(v);
-      if (!fetched.ok()) {
+        status = util::Status::BudgetExhausted("group query budget exhausted");
+        kind = obs::FlightEventKind::kBudgetRefusal;
+      } else if (auto fetched = group_->backend_->FetchNeighbors(v);
+                 !fetched.ok()) {
         group_->RefundCharge();
-        obs.fetch_errors->Inc();
-        HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                              ProbeArgs(*group_->cache_, v, "error"));
-        RecordMissOutcome(v, obs::FlightEventKind::kError, miss_start_us);
-        return fetched.status();
+        status = fetched.status();
+        kind = obs::FlightEventKind::kError;
+      } else {
+        entry = group_->StoreFetched(v, *fetched);
       }
-      entry = group_->StoreFetched(v, *fetched);
-      ++charged_fetches_;
-      obs.wire_fetches->Inc();
-      HW_TRACE_INSTANT_ARGS(tracer_, trace_track_, "cache_probe",
-                            ProbeArgs(*group_->cache_, v, "wire"));
-      RecordMissOutcome(v, obs::FlightEventKind::kWireFetch, miss_start_us);
+      group_->FinishFetch(v);
     }
+    RecordMissOutcome(v, kind, miss_start_us);
+    if (!status.ok()) return status;
+    if (kind == obs::FlightEventKind::kWireFetch) ++charged_fetches_;
   }
   AccountServed(v);
   retained_[retain_slot_] = entry;

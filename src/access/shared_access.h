@@ -2,9 +2,11 @@
 #define HISTWALK_ACCESS_SHARED_ACCESS_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <unordered_set>
 #include <vector>
 
 #include "access/backend.h"
@@ -47,24 +49,24 @@
 // estimate/ensemble_runner.h for the deterministic per-walker alternative).
 //
 // Concurrency notes: views are NOT thread-safe individually (one view per
-// walker per thread); the group and cache are. Two walkers missing on the
-// same node at the same instant may both fetch it — the cache keeps one
-// copy, the duplicate charge is the usual cost of not holding a lock across
-// the backend call. Attaching an AsyncFetcher (net::RequestPipeline)
-// removes even that: concurrent misses on one node collapse into a single
-// deduplicated wire request (singleflight).
+// walker per thread); the group and cache are. Concurrent misses on one
+// node collapse into a single fetch (singleflight) on both miss paths: the
+// synchronous one parks the later views until the first view's fetch
+// lands, and an attached AsyncFetcher (net::RequestPipeline) folds them
+// into one deduplicated wire request. With an unbounded cache every node is
+// therefore fetched exactly once and charged_queries() does not depend on
+// thread interleaving.
 
 namespace histwalk::access {
 
 class AsyncFetcher;
 class HistoryJournal;
-class HistoryTier;
 class SharedAccess;
 
 struct SharedAccessOptions {
   // Global backend-fetch budget across all views; 0 means unlimited.
   uint64_t query_budget = 0;
-  HistoryCacheOptions cache;
+  HistoryCacheOptions cache = {};
   // Metrics registry the group's counters land in; null = the process
   // Global() registry. Must outlive the group.
   obs::Registry* registry = nullptr;
@@ -73,15 +75,14 @@ struct SharedAccessOptions {
 // Cached instrument pointers for the group's miss-path accounting —
 // resolved once at group construction so the hot path never touches the
 // registry's name map. Every view-level cache miss is attributed to
-// EXACTLY ONE of wire_fetches / store_hits / singleflight_joins /
-// budget_refusals / fetch_errors, so
-//     cache_misses == wire_fetches + store_hits + singleflight_joins
+// EXACTLY ONE of wire_fetches / singleflight_joins / budget_refusals /
+// fetch_errors, so
+//     cache_misses == wire_fetches + singleflight_joins
 //                   + budget_refusals + fetch_errors
 // holds exactly (pinned by obs_identity_test).
 struct GroupObsCounters {
   obs::Counter* cache_hits = nullptr;
   obs::Counter* cache_misses = nullptr;
-  obs::Counter* store_hits = nullptr;
   obs::Counter* singleflight_joins = nullptr;
   obs::Counter* wire_fetches = nullptr;
   obs::Counter* budget_refusals = nullptr;
@@ -149,14 +150,6 @@ class SharedAccessGroup {
   void set_history_journal(HistoryJournal* journal) { journal_ = journal; }
   HistoryJournal* history_journal() const { return journal_; }
 
-  // Attaches (or detaches, with nullptr) a second history tier probed on
-  // the miss path BEFORE the wire: memory cache -> tier -> backend. A tier
-  // hit is promoted into the cache journal-free and budget-free (see
-  // access/history_tier.h). Same lifetime/synchronization caveats as
-  // set_async_fetcher.
-  void set_history_tier(HistoryTier* tier) { tier_ = tier; }
-  HistoryTier* history_tier() const { return tier_; }
-
   // Attaches (or detaches, with nullptr) a flight recorder that captures
   // every miss-path resolution (obs/flight_recorder.h). Same caveats as
   // set_async_fetcher.
@@ -194,12 +187,6 @@ class SharedAccessGroup {
   std::vector<HistoryCache::Entry> StoreFetchedBatch(
       std::span<const HistoryCache::ImportEntry> entries);
 
-  // Promotion funnel for history-tier hits: stores `neighbors` under `v`
-  // in the cache WITHOUT journaling (the record is already durable) and
-  // without touching budget or wire counters. Thread-safe.
-  HistoryCache::Entry StoreWarm(graph::NodeId v,
-                                std::span<const graph::NodeId> neighbors);
-
  private:
   friend class SharedAccess;
 
@@ -211,9 +198,18 @@ class SharedAccessGroup {
   std::atomic<uint32_t> next_view_id_{0};
   AsyncFetcher* fetcher_ = nullptr;
   HistoryJournal* journal_ = nullptr;
-  HistoryTier* tier_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   GroupObsCounters obs_;
+
+  // Synchronous-path singleflight over the nodes some view is fetching
+  // now. ClaimFetch waits out another view's fetch of `v`; it returns false
+  // with `*entry` set when `v` is cached by then, otherwise true, and the
+  // caller must fetch `v` and call FinishFetch (whether or not it failed).
+  bool ClaimFetch(graph::NodeId v, HistoryCache::Entry* entry);
+  void FinishFetch(graph::NodeId v);
+  std::mutex fetching_mu_;
+  std::condition_variable fetching_cv_;
+  std::unordered_set<graph::NodeId> fetching_;
 };
 
 class SharedAccess final : public NodeAccess {
@@ -266,6 +262,7 @@ class SharedAccess final : public NodeAccess {
 
  private:
   void AccountServed(graph::NodeId v);
+  // Counts, traces and flight-records one resolved miss as `kind`.
   void RecordMissOutcome(graph::NodeId v, obs::FlightEventKind kind,
                          uint64_t start_us);
 

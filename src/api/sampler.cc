@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -361,16 +362,6 @@ SamplerBuilder& SamplerBuilder::WithHistoryStore(store::HistoryStore* store) {
   return *this;
 }
 
-SamplerBuilder& SamplerBuilder::WithWarmStart(bool warm_start) {
-  warm_start_ = warm_start;
-  return *this;
-}
-
-SamplerBuilder& SamplerBuilder::WithStoreReadTier(bool read_tier) {
-  store_read_tier_ = read_tier;
-  return *this;
-}
-
 SamplerBuilder& SamplerBuilder::WithObservability(ObservabilityOptions obs) {
   has_obs_ = true;
   obs_ = obs;
@@ -427,12 +418,6 @@ SamplerBuilder& SamplerBuilder::StopAfterSteps(uint64_t max_steps) {
   return *this;
 }
 
-SamplerBuilder& SamplerBuilder::StopAfterQueries(
-    uint64_t per_walker_query_budget) {
-  defaults_.query_budget = per_walker_query_budget;
-  return *this;
-}
-
 SamplerBuilder& SamplerBuilder::EstimateAverageDegree() {
   estimand_.average_degree = true;
   estimand_.attribute.clear();
@@ -472,7 +457,7 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
           "OverGraph/OverBackend");
     }
     if (has_wire_ || has_owned_store_ || external_store_ != nullptr ||
-        store_read_tier_ || group_query_budget_ != 0) {
+        group_query_budget_ != 0) {
       return util::Status::InvalidArgument(
           "wire/store/budget options are daemon-side configuration; a "
           "remote sampler holds only the connection");
@@ -511,26 +496,10 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
     return util::Status::InvalidArgument(
         "EstimateAttributeMean requires OverGraph(graph, attributes)");
   }
-  if (mode_ == ExecutionMode::kService) {
-    if (group_query_budget_ != 0) {
-      return util::Status::InvalidArgument(
-          "WithGroupQueryBudget applies to inline/pipelined modes; service "
-          "runs budget per tenant via RunOptions::tenant_query_budget");
-    }
-    if (!warm_start_ && (has_owned_store_ || external_store_ != nullptr)) {
-      return util::Status::InvalidArgument(
-          "WithWarmStart(false) is unsupported in service mode; open the "
-          "store with load_snapshot = false instead");
-    }
-    if (store_read_tier_) {
-      return util::Status::InvalidArgument(
-          "WithStoreReadTier applies to inline/pipelined modes; the "
-          "service warm-starts its shared cache from the store instead");
-    }
-  }
-  if (store_read_tier_ && !has_owned_store_ && external_store_ == nullptr) {
+  if (mode_ == ExecutionMode::kService && group_query_budget_ != 0) {
     return util::Status::InvalidArgument(
-        "WithStoreReadTier requires a history store (WithHistoryStore)");
+        "WithGroupQueryBudget applies to inline/pipelined modes; service "
+        "runs budget per tenant via RunOptions::tenant_query_budget");
   }
   if (!(confidence_ > 0.0 && confidence_ < 1.0)) {
     return util::Status::InvalidArgument(
@@ -642,26 +611,12 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
                                .cache = cache_,
                                .registry = obs_.registry});
     if (sampler->store_ != nullptr) {
-      if (warm_start_) {
-        // Like the service: a broken history file falls back to a cold (or
-        // partially restored) cache, recorded rather than fatal — recovery
-        // policy stays the caller's call via warm_start_status().
-        sampler->warm_start_status_ =
-            sampler->store_->LoadInto(sampler->group_->cache());
-      }
+      // Like the service: a broken history file falls back to a cold (or
+      // partially restored) cache, recorded rather than fatal — recovery
+      // policy stays the caller's call via warm_start_status().
+      sampler->warm_start_status_ =
+          sampler->store_->LoadInto(sampler->group_->cache());
       sampler->group_->set_history_journal(sampler->store_);
-      if (store_read_tier_) {
-        // The durable history as a second READ tier: misses probe it
-        // before the wire, and hits promote demand-driven instead of the
-        // all-at-once warm start (access/history_tier.h).
-        sampler->store_tier_ = std::make_unique<access::CacheTier>();
-        util::Status tier_load =
-            sampler->store_->LoadInto(sampler->store_tier_->cache());
-        if (!tier_load.ok() && sampler->warm_start_status_.ok()) {
-          sampler->warm_start_status_ = tier_load;
-        }
-        sampler->group_->set_history_tier(sampler->store_tier_.get());
-      }
     }
     if (flight_capacity > 0) {
       std::function<uint64_t()> clock;
@@ -793,10 +748,20 @@ util::Result<RunHandle> Sampler::RunThreaded(const RunOptions& options) {
                                        .num_threads = inline_threads_,
                                        .tracer = obs_.tracer,
                                        .progress = shared->progress.get()};
-    auto run = mode_ == ExecutionMode::kInline
-                   ? estimate::RunEnsemble(*group_, options.walker, ensemble)
-                   : estimate::RunEnsembleAsync(*group_, options.walker,
-                                                ensemble, pipeline_);
+    // Pipelined mode: misses route through a per-run pipeline, attached
+    // for exactly this run and constructed first so its trace track
+    // registers before the walkers' tracks.
+    std::optional<net::RequestPipeline> pipeline;
+    if (mode_ == ExecutionMode::kPipelined) {
+      pipeline.emplace(group_.get(), pipeline_);
+      group_->set_async_fetcher(&*pipeline);
+    }
+    auto run = estimate::RunEnsemble(*group_, options.walker, ensemble);
+    if (pipeline.has_value()) {
+      group_->set_async_fetcher(nullptr);
+      if (run.ok()) run->pipeline_stats = pipeline->stats();
+      pipeline.reset();
+    }
     // Freeze the tracker's bill/clock at run end: the handle (and later
     // scrapes) keep reading the tracker, but this run's accounting is
     // closed.
@@ -874,15 +839,6 @@ util::Status Sampler::SaveHistory() {
   if (store_ == nullptr) {
     return util::Status::FailedPrecondition(
         "no history store configured (WithHistoryStore)");
-  }
-  if (store_tier_ != nullptr) {
-    // Checkpoint() folds the MEMORY cache into a fresh snapshot; under a
-    // read tier that cache holds only the demand-filled subset, so the
-    // fold would shrink the durable history. New fetches are WAL-journaled
-    // already — durability does not need the checkpoint.
-    return util::Status::FailedPrecondition(
-        "SaveHistory is unsupported with WithStoreReadTier: a checkpoint "
-        "would fold only the demand-filled memory cache");
   }
   if (mode_ != ExecutionMode::kService) {
     // A mid-run snapshot of a thread-mode group would capture an arbitrary
@@ -967,13 +923,6 @@ void Sampler::CollectSamples(std::vector<obs::Sample>& out) const {
       service_mode ? service_->shared_cache() : group_->cache();
   AppendCacheSamples(out, cache.stats());
   AppendShardHeatSamples(out, cache);
-  if (store_tier_ != nullptr) {
-    const access::HistoryCacheStats tier = store_tier_->cache().stats();
-    out.push_back(MakeSample("hw_store_tier_entries", SampleKind::kGauge,
-                             tier.entries));
-    out.push_back(
-        MakeSample("hw_store_tier_bytes", SampleKind::kGauge, tier.bytes));
-  }
   if (remote_ != nullptr) {
     const net::RemoteBackendStats wire = remote_->stats();
     out.push_back(MakeSample("hw_net_wire_calls_total", SampleKind::kCounter,

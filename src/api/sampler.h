@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "access/graph_access.h"
-#include "access/history_tier.h"
 #include "access/shared_access.h"
 #include "attr/attribute.h"
 #include "core/walker_factory.h"
@@ -39,8 +38,7 @@
 // Before this layer, every example, experiment and bench re-assembled the
 // same five seams by hand (GraphAccess/RemoteBackend, SharedAccessGroup,
 // HistoryStore::Open + LoadInto + set_history_journal, RequestPipeline or
-// SamplingService, then one of three RunEnsemble* entry points). The
-// facade owns that wiring once:
+// SamplingService, then RunEnsemble). The facade owns that wiring once:
 //
 //   auto sampler = api::SamplerBuilder()
 //                      .OverGraph(&graph)
@@ -81,8 +79,9 @@ namespace histwalk::api {
 enum class ExecutionMode {
   // RunEnsemble: each walker's own thread fetches misses synchronously.
   kInline,
-  // RunEnsembleAsync: misses route through a per-run net::RequestPipeline
-  // (batched, singleflight-deduplicated, depth-bounded in flight).
+  // RunEnsemble with a per-run net::RequestPipeline attached to the group:
+  // misses are batched, singleflight-deduplicated and depth-bounded in
+  // flight.
   kPipelined,
   // service::SamplingService: each Run() is a tenant session over one
   // shared cache and one fair-scheduled multi-tenant pipeline; runs may
@@ -154,7 +153,7 @@ struct ObservabilityOptions {
 // Run(options) overrides them per run — the service-mode pattern of many
 // differently-seeded sessions over one Sampler.
 struct RunOptions {
-  core::WalkerSpec walker;
+  core::WalkerSpec walker = {};
   uint32_t num_walkers = 8;
   uint64_t seed = 1;
   // Per-walker stop conditions, estimate::EnsembleOptions semantics; at
@@ -200,8 +199,8 @@ struct RunReport {
   uint64_t sim_wall_us = 0;
   // Service mode: submit-to-done session latency on the service clock.
   uint64_t latency_us = 0;
-  // The tail of this run's miss-path resolutions (wire fetch / store-tier
-  // hit / singleflight join / refusal / error), bounded by
+  // The tail of this run's miss-path resolutions (wire fetch /
+  // singleflight join / refusal / error), bounded by
   // ObservabilityOptions::flight_recorder_capacity. In thread modes the
   // recorder is sampler-lived, so the log accumulates across successive
   // runs on one Sampler; service mode records per session.
@@ -236,9 +235,9 @@ struct RunReport {
 class Sampler;
 
 // One run's session object — the unified replacement for "call RunEnsemble
-// and hold the result", "call RunEnsembleAsync", and "Submit/Poll/Wait/
-// Detach a service session". Cheap to copy (copies observe the same run).
-// Handles must not outlive their Sampler.
+// and hold the result" and "Submit/Poll/Wait/Detach a service session".
+// Cheap to copy (copies observe the same run). Handles must not outlive
+// their Sampler.
 class RunHandle {
  public:
   // An empty handle: !valid(); Wait/Report fail with FailedPrecondition,
@@ -294,7 +293,7 @@ struct ServiceConfig {
   uint64_t admission_wait_us = 0;
   uint64_t max_history_bytes = 0;
   bool share_history = true;
-  net::RequestPipelineOptions pipeline;
+  net::RequestPipelineOptions pipeline = {};
 };
 
 // Declarative composition of a Sampler. Setters may be chained in any
@@ -326,19 +325,12 @@ class SamplerBuilder {
   // 0 = unlimited). Service mode budgets per tenant via RunOptions.
   SamplerBuilder& WithGroupQueryBudget(uint64_t query_budget);
   // Durable history: the Sampler opens and owns a store::HistoryStore,
-  // warm-starts the cache from it at Build (unless WithWarmStart(false))
-  // and journals every new fetch into it.
+  // warm-starts the cache from it at Build and journals every new fetch
+  // into it. To keep the snapshot out of the cache, open the store with
+  // load_snapshot = false (its WAL still replays).
   SamplerBuilder& WithHistoryStore(store::HistoryStoreOptions options);
   // Same, over an externally owned store (must outlive the Sampler).
   SamplerBuilder& WithHistoryStore(store::HistoryStore* store);
-  SamplerBuilder& WithWarmStart(bool warm_start);
-  // Serve cache misses from the durable history as a READ TIER (memory
-  // cache -> store tier -> wire) instead of — or in addition to — the
-  // all-at-once warm start: Build() loads the store into an unbounded
-  // side cache and misses probe it before paying wire latency or budget
-  // (see access/history_tier.h). Requires WithHistoryStore; thread modes
-  // only (kInvalidArgument in service mode).
-  SamplerBuilder& WithStoreReadTier(bool read_tier = true);
 
   // ---- observability --------------------------------------------------
   // Wires metrics, tracing and the flight recorder through every layer
@@ -375,7 +367,6 @@ class SamplerBuilder {
   SamplerBuilder& WithWalker(core::WalkerSpec spec);
   SamplerBuilder& WithEnsemble(uint32_t num_walkers, uint64_t seed);
   SamplerBuilder& StopAfterSteps(uint64_t max_steps);
-  SamplerBuilder& StopAfterQueries(uint64_t per_walker_query_budget);
 
   // ---- estimator ------------------------------------------------------
   SamplerBuilder& EstimateAverageDegree();
@@ -408,8 +399,6 @@ class SamplerBuilder {
   bool has_owned_store_ = false;
   store::HistoryStoreOptions store_options_;
   store::HistoryStore* external_store_ = nullptr;
-  bool warm_start_ = true;
-  bool store_read_tier_ = false;
   bool has_obs_ = false;
   ObservabilityOptions obs_;
   ExecutionMode mode_ = ExecutionMode::kInline;
@@ -473,8 +462,6 @@ class Sampler {
   obs::Registry& registry() const {
     return obs_.registry != nullptr ? *obs_.registry : obs::Registry::Global();
   }
-  // The store read tier, when WithStoreReadTier wired one; null otherwise.
-  const access::CacheTier* store_tier() const { return store_tier_.get(); }
   // The live scrape endpoint, when WithTelemetryServer wired one; null
   // otherwise. telemetry()->port() resolves a requested port of 0.
   const obs::TelemetryServer* telemetry() const { return telemetry_.get(); }
@@ -537,9 +524,8 @@ class Sampler {
   // Remote mode: the dialed daemon connection, shared with every run
   // handle (so cached reads survive the Sampler).
   std::shared_ptr<rpc::Client> rpc_client_;
-  // Thread modes: the durable-history read tier and the per-sampler flight
-  // recorder attached to group_ (service mode records per session).
-  std::unique_ptr<access::CacheTier> store_tier_;
+  // Thread modes: the per-sampler flight recorder attached to group_
+  // (service mode records per session).
   std::unique_ptr<obs::FlightRecorder> flight_;
   // The live HTTP endpoint; its serving thread reads registry() and
   // RunsJson(), so ~Sampler stops it before tearing anything else down.

@@ -32,7 +32,7 @@ struct WalkerSpec {
   // Required for kGnrw, ignored otherwise; must outlive created walkers.
   const attr::Grouping* grouping = nullptr;
   // Optional display-name override for reports.
-  std::string label;
+  std::string label = {};
 
   std::string DisplayName() const;
 };

@@ -17,9 +17,10 @@
 // node derive from deterministic sub-seeds of `seed`, and each per-walker
 // trace depends only on that walker's own draws — never on what the cache
 // or the other walkers did — so the merged ensemble is reproducible
-// bit-for-bit across runs and thread schedules. Only the group-level charge
-// counter (which walker paid for which fetch) varies with interleaving, and
-// it is reported separately.
+// bit-for-bit across runs and thread schedules. Only the attribution of
+// charges to walkers (which walker paid for which fetch) varies with
+// interleaving; with an unbounded cache the group's charged_queries does
+// not, because concurrent misses on one node share a single fetch.
 //
 // Exception: a group-level query_budget breaks the bit-for-bit guarantee.
 // Which walker loses the race for the last unit of budget — and therefore
@@ -38,7 +39,9 @@ struct EnsembleOptions {
   // count (its standalone cost), keeping the cut deterministic.
   uint64_t max_steps = 0;
   uint64_t query_budget = 0;
-  // Worker threads for ParallelFor (0 = hardware concurrency).
+  // Worker threads for ParallelFor (0 = hardware concurrency); ignored,
+  // in favour of one thread per walker, when the group has an
+  // AsyncFetcher attached.
   unsigned num_threads = 0;
   // Optional tracer (must outlive the run). Walker i's steps and cache
   // probes land on a "walker i" track, registered serially at run start so
@@ -83,9 +86,9 @@ struct EnsembleResult {
   // Total history footprint after the run: resident cache bytes plus each
   // walker's private membership bits.
   uint64_t history_bytes = 0;
-  // Filled by RunEnsembleAsync only: the pipeline's wire traffic for this
-  // run (batching and singleflight-dedup effectiveness). All zeros for the
-  // synchronous runner.
+  // Left zeroed by RunEnsemble. The owner of a per-run pipeline (the
+  // pipelined api::Sampler) fills in its wire traffic for this run:
+  // batching and singleflight-dedup effectiveness.
   net::RequestPipelineStats pipeline_stats;
 
   uint64_t num_steps() const;
@@ -99,39 +102,20 @@ struct EnsembleResult {
 // built from `spec` (see core::MakeEnsemble). The group is NOT reset first,
 // so successive ensembles can keep accumulating shared history;
 // charged_queries reports only this run's fetches.
+//
+// Misses go down whatever path the group has. With no AsyncFetcher
+// attached, each walker's own thread fetches synchronously and
+// options.num_threads sizes the worker pool. With one attached (a
+// net::RequestPipeline, or a service tenant's view of a shared pipeline),
+// misses are batched and deduplicated there, and every walker gets its
+// own thread — options.num_threads is ignored — so one walker waiting on
+// the wire never blocks the others' outstanding fetches. Either way the
+// traces, per-walker QueryStats and merged samples are bit-identical;
+// only the bill and the (simulated) wall-clock differ. The caller owns
+// the fetcher's attachment and lifetime.
 util::Result<EnsembleResult> RunEnsemble(access::SharedAccessGroup& group,
                                          const core::WalkerSpec& spec,
                                          const EnsembleOptions& options);
-
-// The overlapped-fetch variant: same walkers, same sub-seeds, same merged
-// traces (bit-identical nodes/degrees/unique_queries and per-walker
-// QueryStats as RunEnsemble), but cache misses are resolved through a
-// net::RequestPipeline attached to the group for the duration of the run —
-// concurrent misses are batched per cache shard and deduplicated
-// (singleflight), and each walker runs on its own thread so one walker
-// waiting on the wire never blocks the others' outstanding fetches. With
-// the group's backend wrapped in a net::RemoteBackend, pipeline depth D>1
-// drops the simulated crawl wall-clock while the trace stays identical;
-// options.num_threads is ignored (concurrency = num_walkers).
-//
-// The group must not already have an async fetcher attached; the one this
-// run attaches is detached before returning.
-util::Result<EnsembleResult> RunEnsembleAsync(
-    access::SharedAccessGroup& group, const core::WalkerSpec& spec,
-    const EnsembleOptions& options,
-    const net::RequestPipelineOptions& pipeline_options = {});
-
-// The service-session variant: like RunEnsembleAsync (one thread per
-// walker, misses resolved through the group's AsyncFetcher) but the
-// fetcher must ALREADY be attached and stays attached afterwards — it
-// belongs to a longer-lived owner (service::SamplingService routes every
-// tenant's misses through one shared multi-tenant pipeline). Fails with
-// kFailedPrecondition when no fetcher is attached. pipeline_stats is left
-// zeroed: the shared pipeline's accounting spans tenants and is reported
-// by its owner (RequestPipeline::tenant_stats), not per run.
-util::Result<EnsembleResult> RunEnsembleAttached(
-    access::SharedAccessGroup& group, const core::WalkerSpec& spec,
-    const EnsembleOptions& options);
 
 }  // namespace histwalk::estimate
 

@@ -18,8 +18,8 @@
 #include "obs/trace.h"
 
 // Batched, deduplicated, tenant-fair fetch client for a (simulated or real)
-// remote backend — the AsyncFetcher implementation behind RunEnsembleAsync
-// and the wire funnel of service::SamplingService.
+// remote backend — the AsyncFetcher behind the pipelined api::Sampler's
+// RunEnsemble calls and the wire funnel of service::SamplingService.
 //
 // Four mechanisms, composable because they all live behind one submit
 // queue:
@@ -215,7 +215,8 @@ class RequestPipeline final : public access::AsyncFetcher {
   // Single-tenant convenience (the PR-2 shape): registers `group` as
   // tenant 0 with weight 1. `group` must outlive the pipeline. Typical
   // wiring: construct the pipeline, group.set_async_fetcher(&pipeline),
-  // run walkers, detach, destroy (RunEnsembleAsync does all of this).
+  // estimate::RunEnsemble, detach, destroy (the pipelined api::Sampler
+  // does all of this per run).
   explicit RequestPipeline(access::SharedAccessGroup* group,
                            RequestPipelineOptions options = {});
   // Drains already-queued fetches, then joins the workers.

@@ -12,25 +12,25 @@
 // this tenant slow / refused?" answer that doesn't need a full trace file.
 // Cache HITS are deliberately not recorded: the hit path is the hot path,
 // and a hit needs no explanation. What lands in the ring is every miss's
-// outcome: wire fetch, store-tier warm hit, singleflight join, budget
-// refusal, or error, each stamped with the simulated clock when one is
-// wired. RunHandle::Report and the service's SessionReport surface a
-// snapshot of the ring.
+// outcome: wire fetch, singleflight join, budget refusal, or error, each
+// stamped with the simulated clock when one is wired. RunHandle::Report
+// and the service's SessionReport surface a snapshot of the ring.
 
 namespace histwalk::obs {
 
+// The values are the wire encoding (rpc/protocol.cc sends a kind as one
+// raw byte), so they are explicit and never reused: 1 belonged to a
+// retired kind, and decoders refuse it like any out-of-range value.
 enum class FlightEventKind : uint8_t {
-  kWireFetch,         // miss resolved by a backend fetch (sync or batched)
-  kStoreHit,          // miss resolved by the durable-history read tier
-  kSingleflightJoin,  // miss joined another walker's in-flight fetch
-  kBudgetRefusal,     // miss refused by the group/tenant query budget
-  kError,             // miss path failed (backend or pipeline error)
+  kWireFetch = 0,         // miss resolved by a backend fetch (sync or batched)
+  kSingleflightJoin = 2,  // miss joined another walker's in-flight fetch
+  kBudgetRefusal = 3,     // miss refused by the group/tenant query budget
+  kError = 4,             // miss path failed (backend or pipeline error)
 };
 
 inline std::string_view FlightEventKindName(FlightEventKind kind) {
   switch (kind) {
     case FlightEventKind::kWireFetch: return "wire_fetch";
-    case FlightEventKind::kStoreHit: return "store_hit";
     case FlightEventKind::kSingleflightJoin: return "singleflight_join";
     case FlightEventKind::kBudgetRefusal: return "budget_refusal";
     case FlightEventKind::kError: return "error";

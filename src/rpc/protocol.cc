@@ -255,8 +255,9 @@ bool ReadFlightLog(ByteReader& reader, obs::FlightLog* out) {
         !reader.ReadU64(&event.end_us)) {
       return false;
     }
+    // 1 is a retired kind (never reused, see obs::FlightEventKind).
     uint8_t raw = static_cast<uint8_t>(kind[0]);
-    if (raw > static_cast<uint8_t>(obs::FlightEventKind::kError)) {
+    if (raw == 1 || raw > static_cast<uint8_t>(obs::FlightEventKind::kError)) {
       return false;
     }
     event.kind = static_cast<obs::FlightEventKind>(raw);

@@ -180,7 +180,7 @@ void SamplingService::RunSession(Session* session) {
   ensemble_options.tracer = options_.tracer;
   obs::ProgressTracker* progress = session->options.progress.get();
   ensemble_options.progress = progress;
-  auto result = estimate::RunEnsembleAttached(
+  auto result = estimate::RunEnsemble(
       *session->group, session->options.walker, ensemble_options);
   const uint64_t done_us = ClockNowUs();
   if (progress != nullptr) {

@@ -104,7 +104,7 @@ struct SessionOptions {
   // shared so the submitter can keep polling Snapshot() while — and
   // after — the session runs; the service freezes the probes before the
   // group can die.
-  std::shared_ptr<obs::ProgressTracker> progress;
+  std::shared_ptr<obs::ProgressTracker> progress = {};
 };
 
 struct ServiceOptions {
@@ -128,11 +128,11 @@ struct ServiceOptions {
   // Shared history (the point of the service) vs per-session private
   // caches (the isolated control arm).
   bool share_history = true;
-  access::HistoryCacheOptions cache;
+  access::HistoryCacheOptions cache = {};
   // pipeline.cross_tenant_dedup is derived from share_history at
   // construction (isolated tenants must not share in-flight fetches);
   // whatever the caller sets is overridden when share_history is false.
-  net::RequestPipelineOptions pipeline;
+  net::RequestPipelineOptions pipeline = {};
   // Optional durable journal for the shared cache; must outlive the
   // service. LoadInto(shared cache) runs at construction (warm start).
   // Ignored when share_history is false.
@@ -140,7 +140,7 @@ struct ServiceOptions {
   // Clock used for session latency accounting (submit/done stamps), in
   // microseconds. Hook it to RemoteBackend::sim_now_us to measure
   // simulated wall-clock; nullptr = process steady clock.
-  std::function<uint64_t()> clock;
+  std::function<uint64_t()> clock = {};
   // Metrics registry every session's group pushes its miss-outcome
   // counters into (hw_access_* / hw_net_* names); null = obs::Global().
   obs::Registry* registry = nullptr;

@@ -80,14 +80,14 @@ struct HistoryStoreOptions {
   std::string snapshot_path;
   // Separate read source for LoadInto(), when resuming FROM one file while
   // checkpointing TO another; "" = snapshot_path.
-  std::string load_snapshot_path;
+  std::string load_snapshot_path = {};
   // false = LoadInto() skips the snapshot (WAL replay still runs): the
   // store only WRITES snapshot_path. Lets a save-only caller reuse a path
   // an earlier run wrote without silently warm-starting from it.
   bool load_snapshot = true;
   // "" disables the WAL entirely: the store is snapshot-only and durability
   // is whatever the caller's explicit Checkpoint() calls provide.
-  std::string wal_path;
+  std::string wal_path = {};
   // Fold the WAL into a fresh snapshot once it exceeds this many bytes;
   // 0 = never checkpoint automatically.
   uint64_t checkpoint_wal_bytes = 8ull * 1024 * 1024;

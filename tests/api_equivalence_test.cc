@@ -7,6 +7,7 @@
 #include "api/sampler.h"
 #include "estimate/ensemble_runner.h"
 #include "graph/generators.h"
+#include "net/request_pipeline.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "rpc/server.h"
@@ -118,9 +119,11 @@ TEST(ApiEquivalenceTest, PipelinedMatchesManualAsyncAtEveryDepth) {
 
   for (uint32_t depth : {1u, 3u}) {
     access::SharedAccessGroup group(&backend);
-    auto manual = estimate::RunEnsembleAsync(
-        group, {.type = core::WalkerType::kCnrw}, kManualOptions,
-        {.depth = depth, .max_batch = 4});
+    net::RequestPipeline pipeline(&group, {.depth = depth, .max_batch = 4});
+    group.set_async_fetcher(&pipeline);
+    auto manual = estimate::RunEnsemble(
+        group, {.type = core::WalkerType::kCnrw}, kManualOptions);
+    group.set_async_fetcher(nullptr);
     ASSERT_TRUE(manual.ok()) << "depth " << depth;
 
     RunReport facade =
@@ -137,6 +140,8 @@ TEST(ApiEquivalenceTest, PipelinedMatchesManualAsyncAtEveryDepth) {
                                                                << depth;
     EXPECT_EQ(facade.ensemble.pipeline_stats.wire_items,
               facade.charged_queries);
+    EXPECT_EQ(facade.ensemble.pipeline_stats.wire_items,
+              pipeline.stats().wire_items);
   }
 }
 

@@ -188,7 +188,9 @@ TEST(SamplerTest, DroppedHandleIsReapedBySampler) {
   // Never waited: the destructor (and the next Run) must not deadlock or
   // leak the worker.
   auto next = (*sampler)->Run();
-  if (next.ok()) EXPECT_TRUE(next->Wait().ok());
+  if (next.ok()) {
+    EXPECT_TRUE(next->Wait().ok());
+  }
 }
 
 TEST(SamplerTest, WarmStartReplaysHistoryAndChargesNothing) {

@@ -133,6 +133,19 @@ TEST(EnsembleRunnerTest, SharedHistorySavesQueries) {
   EXPECT_GT(result.history_bytes, 0u);
 }
 
+TEST(EnsembleRunnerTest, BoundedCacheNeverBillsLessThanUnbounded) {
+  graph::Graph graph = TestGraph();
+  // The unbounded run pays exactly once per distinct node; the bounded
+  // run refetches what it evicted, so it pays at least that.
+  EnsembleOptions options{.num_walkers = 4, .seed = 13, .max_steps = 200};
+  EnsembleResult bounded =
+      RunCnrwEnsemble(graph, options, /*cache_capacity=*/8);
+  EnsembleResult unbounded =
+      RunCnrwEnsemble(graph, options, /*cache_capacity=*/0);
+  EXPECT_GT(bounded.cache_stats.evictions, 0u);
+  EXPECT_GE(bounded.charged_queries, unbounded.charged_queries);
+}
+
 TEST(EnsembleRunnerTest, PerWalkerBudgetCutsTraces) {
   graph::Graph graph = TestGraph();
   EnsembleResult result = RunCnrwEnsemble(graph, {.num_walkers = 4, .seed = 9,
@@ -185,8 +198,8 @@ TEST(EnsembleRunnerTest, SuccessiveEnsemblesReportPerRunCacheStats) {
             lifetime.hits);
   EXPECT_EQ(first->cache_stats.insertions + second->cache_stats.insertions,
             lifetime.insertions);
-  // Every backend fetch inserts exactly once (unbounded cache, no races in
-  // this sequential-group scenario).
+  // Every backend fetch inserts exactly once (unbounded cache, and
+  // concurrent misses on one node share a single fetch).
   EXPECT_EQ(second->cache_stats.insertions, second->charged_queries);
   // The second run walks over history the first run built: it inserts
   // less than it would on a fresh group.

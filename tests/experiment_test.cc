@@ -6,7 +6,6 @@
 #include "experiment/bias_curve.h"
 #include "experiment/datasets.h"
 #include "experiment/distribution_experiment.h"
-#include "experiment/ensemble_curve.h"
 #include "experiment/error_curve.h"
 #include "experiment/latency_curve.h"
 #include "experiment/report.h"
@@ -164,43 +163,6 @@ TEST_F(SmallExperimentTest, ReportTablesRender) {
   EmitTable(table, "test title", "test_csv", os);
   EXPECT_NE(os.str().find("test title"), std::string::npos);
   EXPECT_NE(os.str().find("query_cost"), std::string::npos);
-}
-
-TEST_F(SmallExperimentTest, EnsembleCurveSharedHistoryEconomics) {
-  EnsembleCurveConfig config;
-  config.walker = {.type = core::WalkerType::kCnrw};
-  config.ensemble_sizes = {1, 4};
-  config.steps_per_walker = 150;
-  config.trials = 5;
-  EnsembleCurveResult result = RunEnsembleCurve(dataset_, config);
-  ASSERT_EQ(result.mean_relative_error.size(), 2u);
-  EXPECT_GT(result.ground_truth, 0.0);
-  // Both cost views are populated and ordered: a 4-walker ensemble issues
-  // more charged queries than a single walker, but (unbounded cache) never
-  // more than the summed standalone cost.
-  EXPECT_GT(result.mean_charged_queries[1], result.mean_charged_queries[0]);
-  EXPECT_LE(result.mean_charged_queries[1],
-            result.mean_standalone_queries[1]);
-  EXPECT_EQ(result.mean_evictions[0], 0.0);
-  EXPECT_GT(result.mean_cache_hit_rate[1], 0.0);
-}
-
-TEST_F(SmallExperimentTest, EnsembleCurveBoundedCacheEvicts) {
-  EnsembleCurveConfig config;
-  config.walker = {.type = core::WalkerType::kSrw};
-  config.ensemble_sizes = {4};
-  config.steps_per_walker = 200;
-  config.cache_capacity = 8;
-  config.cache_shards = 2;
-  config.trials = 3;
-  EnsembleCurveResult bounded_result = RunEnsembleCurve(dataset_, config);
-  EXPECT_GT(bounded_result.mean_evictions[0], 0.0);
-  // Bounding the cache can only increase the service bill.
-  EnsembleCurveConfig unbounded = config;
-  unbounded.cache_capacity = 0;
-  EnsembleCurveResult unbounded_result = RunEnsembleCurve(dataset_, unbounded);
-  EXPECT_GE(bounded_result.mean_charged_queries[0],
-            unbounded_result.mean_charged_queries[0]);
 }
 
 TEST_F(SmallExperimentTest, LatencyCurveWallClockFallsWithDepth) {

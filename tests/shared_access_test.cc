@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include "access/graph_access.h"
 #include "access/shared_access.h"
 #include "graph/generators.h"
+#include "obs/registry.h"
 
 namespace histwalk::access {
 namespace {
@@ -208,6 +214,73 @@ TEST_F(SharedAccessTest, PerTenantBudgetsAreIndependentOverSharedCache) {
   EXPECT_TRUE(a->Neighbors(1).ok());
   EXPECT_EQ(tenant_a.charged_queries(), 1u);
   EXPECT_EQ(tenant_b.charged_queries(), 1u);
+}
+
+// Forwards to a GraphAccess, but every neighbor fetch takes `delay` and is
+// counted, so concurrent misses on one node overlap in the backend.
+class SlowCountingBackend final : public AccessBackend {
+ public:
+  SlowCountingBackend(const AccessBackend* inner,
+                      std::chrono::milliseconds delay)
+      : inner_(inner), delay_(delay) {}
+  util::Result<std::span<const graph::NodeId>> FetchNeighbors(
+      graph::NodeId v) const override {
+    fetches_.fetch_add(1);
+    std::this_thread::sleep_for(delay_);
+    return inner_->FetchNeighbors(v);
+  }
+  util::Result<double> FetchAttribute(graph::NodeId v,
+                                      attr::AttrId attr) const override {
+    return inner_->FetchAttribute(v, attr);
+  }
+  util::Result<uint32_t> FetchSummaryDegree(graph::NodeId v) const override {
+    return inner_->FetchSummaryDegree(v);
+  }
+  uint64_t num_nodes() const override { return inner_->num_nodes(); }
+  std::string name() const override { return "slow"; }
+  uint64_t fetches() const { return fetches_.load(); }
+
+ private:
+  const AccessBackend* inner_;
+  std::chrono::milliseconds delay_;
+  mutable std::atomic<uint64_t> fetches_{0};
+};
+
+TEST_F(SharedAccessTest, ConcurrentMissesOnOneNodeShareOneFetch) {
+  SlowCountingBackend slow(&backend_, std::chrono::milliseconds(100));
+  obs::Registry registry;
+  SharedAccessGroup group(&slow, {.registry = &registry});
+  constexpr int kThreads = 4;
+  std::vector<std::unique_ptr<SharedAccess>> views;
+  for (int i = 0; i < kThreads; ++i) views.push_back(group.MakeView());
+  std::atomic<int> ready{0};
+  std::atomic<int> served{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      auto ns = views[i]->Neighbors(0);
+      if (ns.ok() && ns->size() == 2 && (*ns)[0] == 1 && (*ns)[1] == 7) {
+        served.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(served.load(), kThreads);
+  // One backend fetch and one charge, however the threads interleaved.
+  EXPECT_EQ(slow.fetches(), 1u);
+  EXPECT_EQ(group.charged_queries(), 1u);
+  uint64_t charged_by_views = 0;
+  for (const auto& view : views) charged_by_views += view->charged_fetches();
+  EXPECT_EQ(charged_by_views, 1u);
+  // Every miss is still attributed to exactly one outcome.
+  const GroupObsCounters& obs = group.obs();
+  EXPECT_EQ(obs.wire_fetches->Value(), 1u);
+  EXPECT_EQ(obs.cache_misses->Value(),
+            obs.wire_fetches->Value() + obs.singleflight_joins->Value());
+  EXPECT_EQ(obs.cache_misses->Value() + obs.cache_hits->Value(),
+            static_cast<uint64_t>(kThreads));
 }
 
 TEST_F(SharedAccessTest, AttributeForwardsToBackend) {

@@ -13,6 +13,7 @@
 #include "estimate/ensemble_runner.h"
 #include "estimate/walk_runner.h"
 #include "graph/generators.h"
+#include "net/request_pipeline.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -92,11 +93,15 @@ TEST(HistoryStoreTest, JournalsPipelineFetchesToo) {
   access::GraphAccess backend(&graph, nullptr);
   access::SharedAccessGroup group(&backend, {.cache = {.num_shards = 8}});
   group.set_history_journal(store->get());
-  auto run = estimate::RunEnsembleAsync(
-      group, {.type = core::WalkerType::kCnrw},
-      {.num_walkers = 4, .seed = 11, .max_steps = 200},
-      {.depth = 4, .max_batch = 8});
-  ASSERT_TRUE(run.ok()) << run.status();
+  {
+    net::RequestPipeline pipeline(&group, {.depth = 4, .max_batch = 8});
+    group.set_async_fetcher(&pipeline);
+    auto run = estimate::RunEnsemble(
+        group, {.type = core::WalkerType::kCnrw},
+        {.num_walkers = 4, .seed = 11, .max_steps = 200});
+    group.set_async_fetcher(nullptr);
+    ASSERT_TRUE(run.ok()) << run.status();
+  }
   group.set_history_journal(nullptr);
 
   // Every entry the pipeline inserted was journaled exactly once.
@@ -248,11 +253,15 @@ TEST(HistoryStoreTest, BackgroundFoldLosesNothingUnderConcurrentInserts) {
   access::GraphAccess backend(&graph, nullptr);
   access::SharedAccessGroup group(&backend, {.cache = {.num_shards = 8}});
   group.set_history_journal(store->get());
-  auto run = estimate::RunEnsembleAsync(
-      group, {.type = core::WalkerType::kCnrw},
-      {.num_walkers = 4, .seed = 29, .max_steps = 400},
-      {.depth = 4, .max_batch = 8});
-  ASSERT_TRUE(run.ok()) << run.status();
+  {
+    net::RequestPipeline pipeline(&group, {.depth = 4, .max_batch = 8});
+    group.set_async_fetcher(&pipeline);
+    auto run = estimate::RunEnsemble(
+        group, {.type = core::WalkerType::kCnrw},
+        {.num_walkers = 4, .seed = 29, .max_steps = 400});
+    group.set_async_fetcher(nullptr);
+    ASSERT_TRUE(run.ok()) << run.status();
+  }
   group.set_history_journal(nullptr);
   (*store)->WaitForIdle();
   EXPECT_GT((*store)->stats().checkpoints, 0u);
