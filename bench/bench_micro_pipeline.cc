@@ -30,7 +30,7 @@ const experiment::Dataset& FixtureDataset() {
 }
 
 // Raw pipeline throughput: 8 submitter threads fetch random nodes through
-// one pipeline of `depth` workers over a latency-modelled remote backend.
+// one pipeline of depth `depth` over a latency-modelled remote backend.
 // items_per_second is real time; sim_wall_s is what the model says the
 // same traffic costs on the wire at that depth.
 void BM_PipelineFetchThroughput(benchmark::State& state) {

@@ -300,6 +300,23 @@ std::vector<HistoryCache::ExportedEntry> HistoryCache::ExportShard(
 
 uint64_t HistoryCache::PutBatch(std::span<const ImportEntry> entries,
                                 Entry* out_entries, bool* inserted) {
+  uint64_t new_entries = 0;
+  auto put = [&](Shard& shard, size_t i) {
+    bool was_inserted = false;
+    Entry entry = PutLocked(shard, entries[i].node, entries[i].neighbors,
+                            &was_inserted);
+    if (was_inserted) ++new_entries;
+    if (out_entries != nullptr) out_entries[i] = std::move(entry);
+    if (inserted != nullptr) inserted[i] = was_inserted;
+  };
+  if (entries.size() == 1) {
+    // The common pipeline batch: no grouping, straight in under the one
+    // shard lock it needs.
+    Shard& shard = shards_[ShardIndexOf(entries[0].node)];
+    std::unique_lock<util::RwSpinLock> lock(shard.mu);
+    put(shard, 0);
+    return new_entries;
+  }
   // Group by shard first so each touched shard's exclusive lock is taken
   // once, then insert each group in its original order (preserving clock
   // order reconstruction for per-shard inputs).
@@ -307,19 +324,11 @@ uint64_t HistoryCache::PutBatch(std::span<const ImportEntry> entries,
   for (size_t i = 0; i < entries.size(); ++i) {
     by_shard[ShardIndexOf(entries[i].node)].push_back(i);
   }
-  uint64_t new_entries = 0;
   for (uint32_t s = 0; s < num_shards_; ++s) {
     if (by_shard[s].empty()) continue;
     Shard& shard = shards_[s];
     std::unique_lock<util::RwSpinLock> lock(shard.mu);
-    for (size_t i : by_shard[s]) {
-      bool was_inserted = false;
-      Entry entry = PutLocked(shard, entries[i].node, entries[i].neighbors,
-                              &was_inserted);
-      if (was_inserted) ++new_entries;
-      if (out_entries != nullptr) out_entries[i] = std::move(entry);
-      if (inserted != nullptr) inserted[i] = was_inserted;
-    }
+    for (size_t i : by_shard[s]) put(shard, i);
   }
   return new_entries;
 }

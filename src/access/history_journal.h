@@ -28,8 +28,9 @@ class HistoryJournal {
   // is authoritative, the journal trails it. `cache` is the cache the entry
   // landed in, handed through so checkpoint-style implementations can fold
   // it into a snapshot without holding their own pointer. Must be
-  // thread-safe: concurrent walkers and pipeline workers insert
-  // concurrently. Must not call back into the access layer's miss paths.
+  // thread-safe: walker threads insert concurrently, including the ones
+  // running RequestPipeline batches. Must not call back into the access
+  // layer's miss paths.
   virtual void OnCacheInsert(graph::NodeId v,
                              std::span<const graph::NodeId> neighbors,
                              HistoryCache& cache) = 0;

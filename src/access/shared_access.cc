@@ -87,8 +87,16 @@ HistoryCache::Entry SharedAccessGroup::StoreFetched(
 std::vector<HistoryCache::Entry> SharedAccessGroup::StoreFetchedBatch(
     std::span<const HistoryCache::ImportEntry> entries) {
   std::vector<HistoryCache::Entry> stored(entries.size());
-  std::unique_ptr<bool[]> inserted(new bool[entries.size()]{});
-  cache_->PutBatch(entries, stored.data(), inserted.get());
+  // A one-entry batch (the common pipeline case) keeps its flag on the
+  // stack instead of allocating the flag array.
+  bool inserted_one = false;
+  std::unique_ptr<bool[]> inserted_many;
+  bool* inserted = &inserted_one;
+  if (entries.size() > 1) {
+    inserted_many = std::make_unique<bool[]>(entries.size());
+    inserted = inserted_many.get();
+  }
+  cache_->PutBatch(entries, stored.data(), inserted);
   if (journal_ != nullptr) {
     // Journal only genuinely new entries, after the batch landed (the
     // cache is authoritative, the journal trails it).

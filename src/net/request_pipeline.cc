@@ -146,13 +146,9 @@ RequestPipeline::RequestPipeline(RequestPipelineOptions options)
   if (options_.depth == 0) options_.depth = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.tracer != nullptr) {
-    // Registered before the workers spawn so the track id is fixed by
-    // wiring order, not scheduling.
+    // Registered at construction so the track id is fixed by wiring
+    // order, not by which caller emits first.
     trace_track_ = options_.tracer->RegisterTrack("pipeline");
-  }
-  workers_.reserve(options_.depth);
-  for (uint32_t t = 0; t < options_.depth; ++t) {
-    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -164,23 +160,10 @@ RequestPipeline::RequestPipeline(access::SharedAccessGroup* group,
 }
 
 RequestPipeline::~RequestPipeline() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
   std::unique_lock<std::mutex> lock(mu_);
-  // Workers drain the queue before exiting, so pending_ is empty unless a
-  // caller raced destruction (a use-after-scope bug on their side); fail
-  // any leftovers rather than hang their waiters.
-  for (auto& [key, pending] : pending_) {
-    pending->promise.set_value(
-        WireReply{nullptr, util::Status::Internal("pipeline destroyed")});
-  }
-  pending_.clear();
-  // Let every FetchSharedFor call finish its accounting epilogue before
-  // the members it touches go away.
+  stopping_ = true;
+  // Every queued id belongs to a blocked creator that runs (or is handed)
+  // its batch, so waiting out the active calls drains the queue too.
   idle_cv_.wait(lock, [this] { return active_call_total_ == 0; });
 }
 
@@ -245,39 +228,36 @@ util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchShared(
 
 util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchSharedFor(
     TenantId tenant, graph::NodeId v) {
-  // Bracket the whole call (joins and retries included) in the tenant's
-  // active-call count so RemoveTenant's quiescence check is complete.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    HW_CHECK(tenant < tenants_.size());
-    ++tenants_[tenant]->active_calls;
-    ++active_call_total_;
-  }
-  auto result = FetchSharedForImpl(tenant, v);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --tenants_[tenant]->active_calls;
-    if (--active_call_total_ == 0 && stopping_) idle_cv_.notify_all();
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  HW_CHECK(tenant < tenants_.size());
+  // Bracket the whole call (joins, retries and the batches it runs) in the
+  // tenant's active-call count so RemoveTenant's quiescence check is
+  // complete and the destructor can wait the call out.
+  Tenant& t = *tenants_[tenant];
+  ++t.active_calls;
+  ++active_call_total_;
+  auto result = FetchLocked(lock, tenant, v);
+  --t.active_calls;
+  if (--active_call_total_ == 0 && stopping_) idle_cv_.notify_all();
   return result;
 }
 
-util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchSharedForImpl(
-    TenantId tenant, graph::NodeId v) {
+util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchLocked(
+    std::unique_lock<std::mutex>& lock, TenantId tenant, graph::NodeId v) {
+  Tenant& t = *tenants_[tenant];
   while (true) {
-    std::shared_future<WireReply> future;
+    if (stopping_) {
+      // Destruction in progress: refuse fresh submits (this also stops
+      // budget-refusal retries from re-queueing).
+      return util::Status::Internal("pipeline destroyed");
+    }
+    HW_CHECK(t.group != nullptr);
+    std::shared_ptr<Flight> flight;
     bool creator = false;
+    TenantQueue::Batch batch;
+    access::SharedAccessGroup* batch_group = nullptr;
     {
       HW_PROF_SCOPE("pipeline/enqueue");
-      std::unique_lock<std::mutex> lock(mu_);
-      HW_CHECK(tenant < tenants_.size());
-      if (stopping_) {
-        // Destruction in progress: nobody will serve a fresh submit (this
-        // also stops budget-refusal retries from re-queueing).
-        return util::Status::Internal("pipeline destroyed");
-      }
-      Tenant& t = *tenants_[tenant];
-      HW_CHECK(t.group != nullptr);
       const uint64_t key = PendingKey(tenant, v);
       auto it = pending_.find(key);
       if (it != pending_.end()) {
@@ -288,7 +268,7 @@ util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchSharedForImpl(
                               "singleflight_join",
                               "\"node\":" + std::to_string(v) +
                                   ",\"tenant\":" + std::to_string(tenant));
-        future = it->second->future;
+        flight = it->second;
       } else {
         // Did a fetch complete between the caller's cache miss and this
         // submit? Probe with Contains() first because it has no stats side
@@ -306,11 +286,8 @@ util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchSharedForImpl(
                                                  /*charged_this_call=*/false};
           }
         }
-        auto pending = std::make_shared<Pending>();
-        pending->future = pending->promise.get_future().share();
-        pending->creator = tenant;
-        future = pending->future;
-        pending_.emplace(key, std::move(pending));
+        flight = std::make_shared<Flight>();
+        pending_.emplace(key, flight);
         queue_->Enqueue(tenant, v);
         ++t.stats.submitted;
         HW_TRACE_INSTANT_ARGS(options_.tracer, trace_track_, "enqueue",
@@ -322,12 +299,38 @@ util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchSharedForImpl(
             std::max(global_max_queue_depth_, queue_->queued());
         queue_depth_hist_.Record(queue_->queued());
         creator = true;
-        work_cv_.notify_one();
+        // A free slot means nothing else is queued (a freeing slot hands
+        // queued work straight on), so this pick is this caller's own id.
+        if (in_flight_ < options_.depth) {
+          ++in_flight_;
+          batch_group = PickLocked(&batch);
+        }
       }
     }
-    WireReply reply = future.get();
+    if (creator) {
+      // Run this caller's batch, or one handed to it when a slot frees
+      // with its id at the head of the queue, until its own flight lands.
+      while (true) {
+        if (batch_group != nullptr) {
+          ProcessBatch(lock, batch, batch_group);
+          batch_group = nullptr;
+        }
+        if (flight->done) break;
+        flight->creator_cv.wait(lock, [&] {
+          return flight->done || flight->handoff_group != nullptr;
+        });
+        if (flight->handoff_group != nullptr) {
+          batch = std::move(flight->handoff);
+          batch_group = flight->handoff_group;
+          flight->handoff_group = nullptr;
+        }
+      }
+    } else {
+      flight->joiner_cv.wait(lock, [&] { return flight->done; });
+    }
+    const WireReply& reply = flight->reply;
     if (reply.status.ok()) {
-      return access::AsyncFetcher::Fetched{std::move(reply.entry), creator};
+      return access::AsyncFetcher::Fetched{reply.entry, creator};
     }
     // A joined flight refused by ANOTHER tenant's budget says nothing
     // about this tenant's own quota: the pending entry is gone, so
@@ -341,40 +344,27 @@ util::Result<access::AsyncFetcher::Fetched> RequestPipeline::FetchSharedForImpl(
   }
 }
 
-void RequestPipeline::WorkerLoop() {
-  TenantQueue::Batch batch;
-  while (true) {
-    access::SharedAccessGroup* group = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return stopping_ || (queue_ != nullptr && queue_->queued() > 0);
-      });
-      if (queue_ == nullptr || queue_->queued() == 0) {
-        return;  // stopping and fully drained
-      }
-      HW_CHECK(queue_->PickBatch(options_.max_batch, &batch));
-      Tenant& tenant = *tenants_[batch.tenant];
-      HW_CHECK(tenant.group != nullptr);
-      group = tenant.group;
-      // Wait accounting happens at drain time, under the same lock as the
-      // pick, so histograms are exact whatever the worker count. The same
-      // waits feed the group's scraped histogram.
-      for (uint64_t wait : batch.waits) {
-        tenant.stats.wait.Record(wait);
-        group->obs().pipeline_wait->Observe(wait);
-      }
-      // Leftover work belongs to another worker.
-      if (queue_->queued() > 0) work_cv_.notify_one();
-    }
-    ProcessBatch(batch, group);
+access::SharedAccessGroup* RequestPipeline::PickLocked(
+    TenantQueue::Batch* batch) {
+  HW_CHECK(queue_->PickBatch(options_.max_batch, batch));
+  Tenant& tenant = *tenants_[batch->tenant];
+  HW_CHECK(tenant.group != nullptr);
+  // Wait accounting happens at drain time, under the same lock as the
+  // pick, so histograms are exact whatever the depth. The same waits feed
+  // the group's scraped histogram.
+  for (uint64_t wait : batch->waits) {
+    tenant.stats.wait.Record(wait);
+    tenant.group->obs().pipeline_wait->Observe(wait);
   }
+  return tenant.group;
 }
 
-void RequestPipeline::ProcessBatch(const TenantQueue::Batch& batch,
+void RequestPipeline::ProcessBatch(std::unique_lock<std::mutex>& lock,
+                                   const TenantQueue::Batch& batch,
                                    access::SharedAccessGroup* group) {
   HW_PROF_SCOPE("pipeline/batch");
-  // 'X' complete events (not B/E spans) so concurrent workers' batches
+  lock.unlock();
+  // 'X' complete events (not B/E spans) so concurrent callers' batches
   // can't corrupt span nesting on the shared pipeline track.
   const uint64_t batch_start_us =
       options_.tracer != nullptr ? options_.tracer->NowUs() : 0;
@@ -431,26 +421,18 @@ void RequestPipeline::ProcessBatch(const TenantQueue::Batch& batch,
                      batch.tenant});
   }
 
-  // Detach the Pending entries under the lock, fulfill outside it (waiters
-  // resume inside promise::set_value; never hold mu_ across that).
-  std::vector<std::pair<std::shared_ptr<Pending>, WireReply>> to_fulfill;
-  to_fulfill.reserve(replies.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Tenant& tenant = *tenants_[batch.tenant];
-    if (!to_fetch.empty()) {
-      ++tenant.stats.wire_requests;
-      tenant.stats.wire_items += to_fetch.size();
-    }
-    tenant.stats.budget_refusals += refused.size();
-    for (auto& [v, reply] : replies) {
-      auto it = pending_.find(PendingKey(batch.tenant, v));
-      if (it != pending_.end()) {
-        to_fulfill.emplace_back(std::move(it->second), std::move(reply));
-        pending_.erase(it);
-      }
-    }
+  // Fulfil the flights under the lock and wake their waiters after
+  // releasing it, so a woken caller never blocks straight back on mu_.
+  std::vector<std::shared_ptr<Flight>> fulfilled;
+  fulfilled.reserve(replies.size());
+  std::shared_ptr<Flight> next_runner;  // creator handed the freed slot
+  lock.lock();
+  Tenant& tenant = *tenants_[batch.tenant];
+  if (!to_fetch.empty()) {
+    ++tenant.stats.wire_requests;
+    tenant.stats.wire_items += to_fetch.size();
   }
+  tenant.stats.budget_refusals += refused.size();
   if (options_.tracer != nullptr) {
     const uint64_t now_us = options_.tracer->NowUs();
     options_.tracer->Complete(
@@ -459,20 +441,46 @@ void RequestPipeline::ProcessBatch(const TenantQueue::Batch& batch,
             ",\"items\":" + std::to_string(to_fetch.size()) +
             ",\"refused\":" + std::to_string(refused.size()));
   }
-  // "deliver" is emitted BEFORE set_value: fulfilling wakes the waiting
-  // walker, which may emit its next enqueue immediately — tracing after
-  // the wake would race that event on this track and break the serial
-  // stream's byte-determinism.
+  for (auto& [v, reply] : replies) {
+    auto it = pending_.find(PendingKey(batch.tenant, v));
+    if (it != pending_.end()) {
+      it->second->reply = std::move(reply);
+      it->second->done = true;
+      fulfilled.push_back(std::move(it->second));
+      pending_.erase(it);
+    }
+  }
+  // "deliver" is emitted under mu_, so BEFORE any waiter can see its
+  // reply: a woken walker may emit its next enqueue immediately, and
+  // tracing after the wake would race that event on this track and break
+  // the serial stream's byte-determinism.
   HW_TRACE_INSTANT_ARGS(options_.tracer, trace_track_, "deliver",
                         "\"tenant\":" + std::to_string(batch.tenant) +
                             ",\"replies\":" +
-                            std::to_string(to_fulfill.size()));
+                            std::to_string(fulfilled.size()));
+  // Pass the depth slot on: the next batch goes to the creator of its
+  // first id, which is blocked on that flight and runs the batch itself.
+  if (queue_->queued() > 0) {
+    TenantQueue::Batch next;
+    access::SharedAccessGroup* next_group = PickLocked(&next);
+    auto it = pending_.find(PendingKey(next.tenant, next.ids.front()));
+    HW_CHECK(it != pending_.end());
+    next_runner = it->second;
+    next_runner->handoff = std::move(next);
+    next_runner->handoff_group = next_group;
+  } else {
+    --in_flight_;
+  }
+  lock.unlock();
   {
     HW_PROF_SCOPE("pipeline/deliver");
-    for (auto& [pending, reply] : to_fulfill) {
-      pending->promise.set_value(std::move(reply));
+    for (const std::shared_ptr<Flight>& flight : fulfilled) {
+      flight->creator_cv.notify_one();
+      flight->joiner_cv.notify_all();
     }
+    if (next_runner != nullptr) next_runner->creator_cv.notify_one();
   }
+  lock.lock();
 }
 
 RequestPipelineStats RequestPipeline::stats() const {

@@ -5,10 +5,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -24,15 +22,21 @@
 // Four mechanisms, composable because they all live behind one submit
 // queue:
 //
-//  * Bounded in-flight depth. `depth` worker threads each carry at most
-//    one wire request, so the service never sees more than `depth`
-//    concurrent requests — the client-side analogue of the LatencyModel's
-//    max_in_flight slots.
+//  * Bounded in-flight depth. The pipeline owns no threads: the caller
+//    whose miss creates a flight runs wire batches on its own thread. At
+//    most `depth` batches are in flight at once, so the service never
+//    sees more than `depth` concurrent requests — the client-side
+//    analogue of the LatencyModel's max_in_flight slots. A caller that
+//    finds a free slot drains the next batch (its own id) and fetches it
+//    itself; otherwise its id queues, and when a slot frees with work
+//    queued, the next batch is handed to the caller that created its
+//    first id — a blocked creator, woken alone to run it.
 //  * Per-shard batching. Queued node ids are bucketed by
-//    HistoryCache::ShardOf, and a worker drains up to `max_batch` ids of
-//    ONE shard of ONE tenant into a single FetchNeighborsBatch call: one
-//    wire request (one latency, one rate-limit token) for the whole batch,
-//    and all its cache inserts land under a single shard lock.
+//    HistoryCache::ShardOf, and each drained batch carries up to
+//    `max_batch` ids of ONE shard of ONE tenant into a single
+//    FetchNeighborsBatch call: one wire request (one latency, one
+//    rate-limit token) for the whole batch, and all its cache inserts land
+//    under a single shard lock.
 //  * Singleflight dedup. Concurrent FetchShared calls for the same node
 //    share one in-flight request; N walkers missing on one node cost one
 //    wire fetch and one unit of budget. With cross_tenant_dedup (tenants
@@ -71,7 +75,8 @@ enum class PipelineSchedulerPolicy {
 };
 
 struct RequestPipelineOptions {
-  // Worker threads == bound on concurrently outstanding wire requests.
+  // Bound on wire batches in flight at once (outstanding wire requests).
+  // Callers run the batches on their own threads; no thread is spawned.
   // Clamped to >= 1.
   uint32_t depth = 4;
   // Max neighbor fetches coalesced into one wire request. Clamped to >= 1.
@@ -125,7 +130,7 @@ struct RequestPipelineStats {
   // Distribution of the global depth, sampled right after each enqueue —
   // max_queue_depth says how bad the worst moment was, this says how the
   // depth was typically distributed (a p50 near max means a standing
-  // backlog; a p99 spike over a low p50 means bursts the workers absorb).
+  // backlog; a p99 spike over a low p50 means bursts the depth slots absorb).
   WaitHistogram depth;
 
   double MeanBatchSize() const {
@@ -219,7 +224,8 @@ class RequestPipeline final : public access::AsyncFetcher {
   // does all of this per run).
   explicit RequestPipeline(access::SharedAccessGroup* group,
                            RequestPipelineOptions options = {});
-  // Drains already-queued fetches, then joins the workers.
+  // Waits out every FetchSharedFor call still inside the pipeline. Each
+  // queued id has a blocked creator that drains it, so nothing is dropped.
   ~RequestPipeline() override;
 
   RequestPipeline(const RequestPipeline&) = delete;
@@ -248,7 +254,8 @@ class RequestPipeline final : public access::AsyncFetcher {
   access::AsyncFetcher* tenant_fetcher(TenantId tenant);
 
   // AsyncFetcher: single-tenant entry point (tenant 0). Blocks until the
-  // response for `v` is available.
+  // response for `v` is available, running wire batches on the calling
+  // thread when it holds a depth slot.
   util::Result<access::AsyncFetcher::Fetched> FetchShared(
       graph::NodeId v) override;
 
@@ -278,10 +285,18 @@ class RequestPipeline final : public access::AsyncFetcher {
     util::Status status;
     TenantId creator = 0;  // whose budget the fetch was charged against
   };
-  struct Pending {
-    std::promise<WireReply> promise;
-    std::shared_future<WireReply> future;
-    TenantId creator;
+  // One singleflight entry: shared by its creator and any joiners, and
+  // guarded by mu_. Woken per flight, after mu_ is released, so a reply
+  // wakes only the callers waiting on it.
+  struct Flight {
+    bool done = false;
+    WireReply reply;
+    // Set when a slot freed with this flight's id at the head of the next
+    // batch: the creator runs `handoff` on its thread.
+    access::SharedAccessGroup* handoff_group = nullptr;
+    TenantQueue::Batch handoff;
+    std::condition_variable creator_cv;  // done, or a batch handed over
+    std::condition_variable joiner_cv;   // done
   };
   struct TenantFetcherAdapter final : access::AsyncFetcher {
     RequestPipeline* pipeline = nullptr;
@@ -311,10 +326,18 @@ class RequestPipeline final : public access::AsyncFetcher {
                      static_cast<uint64_t>(v);
   }
 
-  util::Result<access::AsyncFetcher::Fetched> FetchSharedForImpl(
-      TenantId tenant, graph::NodeId v);
-  void WorkerLoop();
-  void ProcessBatch(const TenantQueue::Batch& batch,
+  // The body of FetchSharedFor; `lock` holds mu_ on entry and on return.
+  util::Result<access::AsyncFetcher::Fetched> FetchLocked(
+      std::unique_lock<std::mutex>& lock, TenantId tenant, graph::NodeId v);
+  // Drains the next batch (the caller holds mu_ and a depth slot), records
+  // its queue waits, and returns the group it is fetched through.
+  access::SharedAccessGroup* PickLocked(TenantQueue::Batch* batch);
+  // Runs one batch on the calling thread with mu_ released around the
+  // wire: fetch, store, fulfil its flights, then pass the depth slot on to
+  // the next queued batch's creator or free it. `lock` holds mu_ on entry
+  // and on return.
+  void ProcessBatch(std::unique_lock<std::mutex>& lock,
+                    const TenantQueue::Batch& batch,
                     access::SharedAccessGroup* group);
 
   RequestPipelineOptions options_;
@@ -322,19 +345,17 @@ class RequestPipeline final : public access::AsyncFetcher {
   uint32_t trace_track_ = 0;  // "pipeline" track when options_.tracer set
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;
   std::condition_variable idle_cv_;  // destructor waits for call epilogues
   bool stopping_ = false;
   uint64_t active_call_total_ = 0;  // FetchSharedFor calls in flight
+  uint32_t in_flight_ = 0;          // batches being run, <= depth
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<TenantId> free_slots_;    // removed tenants awaiting reuse
   RequestPipelineStats retired_;        // folded stats of removed tenants
   std::unique_ptr<TenantQueue> queue_;  // created with the first tenant
   uint64_t global_max_queue_depth_ = 0;
   WaitHistogram queue_depth_hist_;  // global depth at each enqueue
-  std::unordered_map<uint64_t, std::shared_ptr<Pending>> pending_;
-
-  std::vector<std::thread> workers_;  // last member: joins before teardown
+  std::unordered_map<uint64_t, std::shared_ptr<Flight>> pending_;
 };
 
 }  // namespace histwalk::net

@@ -201,17 +201,16 @@ util::Status WalWriter::Append(graph::NodeId v,
   AppendU32(scratch_, v);
   AppendU32(scratch_, static_cast<uint32_t>(neighbors.size()));
   for (graph::NodeId neighbor : neighbors) AppendU32(scratch_, neighbor);
-  std::string record;
-  record.reserve(kRecordHeaderBytes + scratch_.size());
-  AppendU32(record, static_cast<uint32_t>(scratch_.size()));
-  AppendU32(record, util::Crc32(scratch_));
-  record += scratch_;
-  out_.write(record.data(), static_cast<std::streamsize>(record.size()));
+  record_.clear();
+  AppendU32(record_, static_cast<uint32_t>(scratch_.size()));
+  AppendU32(record_, util::Crc32(scratch_));
+  record_ += scratch_;
+  out_.write(record_.data(), static_cast<std::streamsize>(record_.size()));
   if (options_.flush_each_record) out_.flush();
   if (!out_.good()) {
     return util::Status::Internal("wal append failed for " + path_);
   }
-  file_bytes_ += record.size();
+  file_bytes_ += record_.size();
   ++records_appended_;
   return util::Status::Ok();
 }

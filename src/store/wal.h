@@ -111,7 +111,9 @@ class WalWriter {
   uint64_t records_appended_ = 0;
   bool repaired_torn_tail_ = false;
   uint64_t repaired_dropped_bytes_ = 0;
-  std::string scratch_;  // reused record buffer
+  // Reused across appends so a record costs no allocation once warm.
+  std::string scratch_;  // payload
+  std::string record_;   // length + crc header, then the payload
 };
 
 }  // namespace histwalk::store

@@ -437,6 +437,52 @@ TEST(HistoryCacheTest, PutBatchReturnsHandlesAndInsertedFlags) {
   EXPECT_EQ(cache.stats().entries, 3u);
 }
 
+// A one-entry PutBatch skips the shard grouping; it must still behave
+// exactly like Put: the same inserted flags, a resident key treated as a
+// touch (its reference bit buys a second chance), and the same stats.
+TEST(HistoryCacheTest, OneEntryPutBatchMatchesPut) {
+  auto put_one = [](HistoryCache& cache, bool batched, graph::NodeId v,
+                    const std::vector<graph::NodeId>& neighbors) {
+    bool inserted = false;
+    if (!batched) {
+      cache.Put(v, neighbors, &inserted);
+      return inserted;
+    }
+    HistoryCache::ImportEntry import{v, std::span<const graph::NodeId>(
+                                            neighbors)};
+    HistoryCache::Entry out;
+    const uint64_t new_entries =
+        cache.PutBatch(std::span(&import, 1), &out, &inserted);
+    EXPECT_EQ(new_entries, inserted ? 1u : 0u);
+    EXPECT_NE(out, nullptr);
+    return inserted;
+  };
+  HistoryCache by_put({.capacity = 2, .num_shards = 1});
+  HistoryCache by_batch({.capacity = 2, .num_shards = 1});
+  for (bool batched : {false, true}) {
+    HistoryCache& cache = batched ? by_batch : by_put;
+    EXPECT_TRUE(put_one(cache, batched, 1, List({10})));
+    EXPECT_TRUE(put_one(cache, batched, 2, List({20})));
+    // Duplicate: not inserted, the resident copy wins, and 1 is touched...
+    EXPECT_FALSE(put_one(cache, batched, 1, List({99})));
+    // ...so the next insert evicts 2, not 1.
+    EXPECT_TRUE(put_one(cache, batched, 3, List({30})));
+    EXPECT_FALSE(cache.Contains(2));
+    ASSERT_NE(cache.Get(1), nullptr);
+    EXPECT_EQ(*cache.Get(1), List({10}));
+  }
+  HistoryCacheStats a = by_put.stats();
+  HistoryCacheStats b = by_batch.stats();
+  EXPECT_EQ(a.insertions, b.insertions);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.entries, b.entries);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(b.insertions, 3u);
+  EXPECT_EQ(b.evictions, 1u);
+}
+
 // Clock vs strict LRU: on a skewed (zipf-ish) hit-heavy key stream the
 // second-chance approximation must track strict LRU's hit rate within a
 // small band — the whole justification for trading the splice away.

@@ -5,7 +5,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "access/graph_access.h"
@@ -19,8 +21,9 @@ namespace {
 using access::HistoryCache;
 
 // Backend decorator whose batch endpoint blocks until the test releases a
-// permit — lets a test hold the (depth=1) worker busy while more fetches
-// queue up behind it, making batch composition deterministic.
+// permit — lets a test hold the (depth=1) slot busy while more fetches
+// queue up behind it, making batch composition deterministic. It also
+// records which thread issued each batch call.
 class GateBackend final : public access::AccessBackend {
  public:
   explicit GateBackend(const access::AccessBackend* inner) : inner_(inner) {}
@@ -34,7 +37,7 @@ class GateBackend final : public access::AccessBackend {
   std::vector<util::Result<std::span<const graph::NodeId>>>
   FetchNeighborsBatch(std::span<const graph::NodeId> ids) const override {
     Await();
-    RecordBatch(ids.size());
+    RecordBatch(ids);
     return inner_->FetchNeighborsBatch(ids);
   }
 
@@ -68,6 +71,13 @@ class GateBackend final : public access::AccessBackend {
     return batch_sizes_;
   }
 
+  // (first id, issuing thread) per batch call, in call order.
+  std::vector<std::pair<graph::NodeId, std::thread::id>> batch_threads()
+      const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return batch_threads_;
+  }
+
  private:
   void Await() const {
     std::unique_lock<std::mutex> lock(mu_);
@@ -75,9 +85,10 @@ class GateBackend final : public access::AccessBackend {
     cv_.wait(lock, [this] { return permits_ > 0; });
     --permits_;
   }
-  void RecordBatch(size_t n) const {
+  void RecordBatch(std::span<const graph::NodeId> ids) const {
     std::lock_guard<std::mutex> lock(mu_);
-    batch_sizes_.push_back(n);
+    batch_sizes_.push_back(ids.size());
+    batch_threads_.emplace_back(ids.front(), std::this_thread::get_id());
   }
 
   const access::AccessBackend* inner_;
@@ -86,6 +97,8 @@ class GateBackend final : public access::AccessBackend {
   mutable uint64_t permits_ = 0;
   mutable uint64_t arrivals_ = 0;
   mutable std::vector<size_t> batch_sizes_;
+  mutable std::vector<std::pair<graph::NodeId, std::thread::id>>
+      batch_threads_;
 };
 
 class RequestPipelineTest : public testing::Test {
@@ -172,8 +185,8 @@ TEST_F(RequestPipelineTest, QueuedSameShardMissesCoalesceIntoOneBatch) {
       &gated, {.cache = {.capacity = 0, .num_shards = 4}});
   RequestPipeline pipeline(&group, {.depth = 1, .max_batch = 8});
 
-  // A decoy fetch occupies the single worker at the gate (arrivals()==1
-  // certifies the worker POPPED it, so later submits can't join its batch).
+  // A decoy fetch occupies the single slot at the gate (arrivals()==1
+  // certifies its caller drained it, so later submits can't join its batch).
   std::thread decoy([&] { EXPECT_TRUE(pipeline.FetchShared(0).ok()); });
   while (gated.arrivals() < 1) std::this_thread::yield();
 
@@ -211,6 +224,65 @@ TEST_F(RequestPipelineTest, QueuedSameShardMissesCoalesceIntoOneBatch) {
   EXPECT_EQ(batches[0], 1u);
   EXPECT_EQ(batches[1], 5u);
   EXPECT_EQ(group.charged_queries(), 6u);  // batching saves time, not bill
+}
+
+TEST_F(RequestPipelineTest, LoneMissRunsOnTheCallersThread) {
+  GateBackend gated(&backend_);
+  gated.Release(1'000'000);
+  access::SharedAccessGroup group(&gated);
+  RequestPipeline pipeline(&group, {.depth = 1, .max_batch = 4});
+  ASSERT_TRUE(pipeline.FetchShared(7).ok());
+  // No handoff: the caller that missed fetched for itself.
+  auto calls = gated.batch_threads();
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0].first, 7u);
+  EXPECT_EQ(calls[0].second, std::this_thread::get_id());
+}
+
+TEST_F(RequestPipelineTest, QueuedBatchIsHandedToItsOwnCaller) {
+  GateBackend gated(&backend_);
+  access::SharedAccessGroup group(
+      &gated, {.cache = {.capacity = 0, .num_shards = 4}});
+  RequestPipeline pipeline(&group, {.depth = 1, .max_batch = 8});
+
+  // Three ids from three shards, so each rides its own batch.
+  std::vector<graph::NodeId> ids;
+  std::set<uint32_t> shards;
+  for (graph::NodeId v = 0; ids.size() < 3; ++v) {
+    if (shards.insert(HistoryCache::ShardOf(v, 4)).second) ids.push_back(v);
+  }
+  std::mutex mu;
+  std::vector<std::pair<graph::NodeId, std::thread::id>> callers;
+  auto fetch = [&](graph::NodeId v) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      callers.emplace_back(v, std::this_thread::get_id());
+    }
+    EXPECT_TRUE(pipeline.FetchShared(v).ok());
+  };
+  // The first caller takes the one slot and blocks at the gate...
+  std::thread holder(fetch, ids[0]);
+  while (gated.arrivals() < 1) std::this_thread::yield();
+  // ...so the next two queue behind it.
+  std::thread second(fetch, ids[1]);
+  std::thread third(fetch, ids[2]);
+  while (pipeline.stats().submitted < 3u) std::this_thread::yield();
+  EXPECT_EQ(gated.arrivals(), 1u);
+  gated.Release(1'000'000);
+  holder.join();
+  second.join();
+  third.join();
+
+  // Every batch ran on the thread of the caller that created its id.
+  auto calls = gated.batch_threads();
+  ASSERT_EQ(calls.size(), 3u);
+  for (const auto& [first_id, thread] : calls) {
+    EXPECT_NE(std::find(callers.begin(), callers.end(),
+                        std::make_pair(first_id, thread)),
+              callers.end())
+        << "batch headed by " << first_id << " ran off its caller's thread";
+  }
+  EXPECT_EQ(pipeline.stats().wire_requests, 3u);
 }
 
 TEST_F(RequestPipelineTest, BudgetRefusalIsTypedAndUnissued) {
@@ -492,7 +564,7 @@ TEST_F(RequestPipelineTest, JoinerRetriesWhenCreatorsBudgetRefusesTheFlight) {
   ASSERT_TRUE(pipeline.FetchSharedFor(a, 1).ok());
   EXPECT_EQ(group_a.remaining_budget(), 0u);
 
-  // A decoy holds the single worker at the gate...
+  // A decoy holds the single slot at the gate...
   std::thread decoy([&] { EXPECT_TRUE(pipeline.FetchSharedFor(b, 9).ok()); });
   while (gated.arrivals() < 2) std::this_thread::yield();
   // ...while broke tenant A creates the in-flight entry for node 2...
@@ -538,8 +610,9 @@ TEST_F(RequestPipelineTest, DestructorDrainsQueuedFetches) {
     }
     while (pipeline.stats().submitted < 6u) std::this_thread::yield();
     gated.Release(1'000'000);
-    // Destroy the pipeline while fetches may still be queued: the
-    // destructor must drain them (not drop them) before joining workers.
+    // Destroy the pipeline while fetches may still be queued: each
+    // caller drains its own queued fetch, and the destructor waits for
+    // every caller to return rather than dropping anything.
   }
   for (auto& waiter : waiters) waiter.join();
   EXPECT_EQ(resolved.load(), 6);
