@@ -77,7 +77,7 @@ int main() {
   for (core::WalkerType type :
        {core::WalkerType::kSrw, core::WalkerType::kCnrw}) {
     double queries = QueriesForAccuracy(dataset, type, kTargetError);
-    uint64_t seconds = access::RateLimiter::EstimateSeconds(
+    uint64_t seconds = access::EstimateSeconds(
         twitter, static_cast<uint64_t>(queries));
     std::cout << core::WalkerTypeName(type) << ": ~" << queries
               << " unique queries to reach " << kTargetError * 100

@@ -7,7 +7,8 @@
 //
 // Real OSNs throttle neighborhood queries hard ("15 calls every 15 minutes"
 // on Twitter, "25,000 calls per day" on Yelp — section 2.1). The simulator
-// does not sleep; it advances a virtual clock so experiments can report the
+// does not sleep: net::LatencyModel gates each wire request's issue time on
+// a RateLimitPolicy over its virtual clock, so experiments can report the
 // crawl wall-time a given query budget would cost against a real service.
 
 namespace histwalk::access {
@@ -20,33 +21,15 @@ struct RateLimitPolicy {
   static RateLimitPolicy Yelp() { return {25'000, 86'400}; }
 };
 
-// Token-bucket over a virtual clock: each window grants calls_per_window
-// queries; when the bucket is empty the virtual clock jumps to the next
-// window boundary.
-class RateLimiter {
- public:
-  explicit RateLimiter(RateLimitPolicy policy);
-
-  // Accounts one charged query and returns the virtual timestamp (seconds
-  // since crawl start) at which the query could actually be issued.
-  uint64_t RecordQuery();
-
-  uint64_t queries_issued() const { return queries_issued_; }
-  // Virtual crawl duration so far, in seconds.
-  uint64_t elapsed_seconds() const { return now_; }
-
-  // Crawl seconds a hypothetical crawl of `num_queries` would need under
-  // this policy (starting from a fresh bucket).
-  static uint64_t EstimateSeconds(const RateLimitPolicy& policy,
-                                  uint64_t num_queries);
-
- private:
-  RateLimitPolicy policy_;
-  uint64_t queries_issued_ = 0;
-  uint64_t window_used_ = 0;   // queries consumed in the current window
-  uint64_t window_start_ = 0;  // virtual start of the current window
-  uint64_t now_ = 0;           // virtual clock
-};
+// Crawl seconds a serial crawl of `num_queries` would wait under `policy`
+// (windows anchored at time 0, no latency): each window grants
+// calls_per_window queries, and the last query issues at the start of the
+// window it falls in.
+inline uint64_t EstimateSeconds(const RateLimitPolicy& policy,
+                                uint64_t num_queries) {
+  if (num_queries == 0) return 0;
+  return (num_queries - 1) / policy.calls_per_window * policy.window_seconds;
+}
 
 }  // namespace histwalk::access
 

@@ -1,5 +1,6 @@
 #include "api/sampler.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -39,45 +40,190 @@ std::string_view RunStateName(RunState state) {
   return "unknown";
 }
 
-// One run's shared session state. Thread modes transition `state` on the
-// worker thread; service mode mirrors the service session until the first
-// Wait caches the report (and detaches the session) under `mu`.
+// The run-session policy, written once for every execution mode: one
+// retrieval in flight at a time, an outcome (report or error) cached for
+// every later caller, and Cancel pinning the cancellation error in place
+// of that outcome. Each mode supplies only a Source: the run itself.
 struct RunHandle::Shared {
-  Sampler* sampler = nullptr;
-  ExecutionMode mode = ExecutionMode::kInline;
-  core::WalkerSpec spec;  // for estimand bias probing at report time
+  // What an execution mode supplies. The session calls Wait/Report/Cancel
+  // only as its one retrieval in flight, and never once it has an outcome.
+  class Source {
+   public:
+    virtual ~Source() = default;
+    // The run's own state, without blocking.
+    virtual RunState Poll() = 0;
+    // Blocks until the run ends and returns its outcome. Clears `*final`
+    // for a transient failure (an RPC deadline) that is not the outcome.
+    virtual util::Result<RunReport> Wait(bool* final) = 0;
+    // Non-blocking: the outcome of an ended run; a non-final kUnavailable
+    // while it runs.
+    virtual util::Result<RunReport> Report(bool* final) {
+      if (Poll() == RunState::kRunning) {
+        *final = false;
+        return util::Status::Unavailable("run still in flight");
+      }
+      return Wait(final);
+    }
+    // Ends the run cooperatively, discarding its outcome.
+    virtual void Cancel() {
+      bool final = true;
+      (void)Wait(&final);
+    }
+    virtual obs::ProgressSnapshot Progress() const {
+      return progress == nullptr ? obs::ProgressSnapshot{}
+                                 : progress->Snapshot();
+    }
 
+    // An in-process run's streaming tracker (null for untracked runs); set
+    // before the handle escapes, immutable afterwards.
+    std::shared_ptr<obs::ProgressTracker> progress;
+  };
+  class ThreadRun;
+  class ServiceRun;
+  class RemoteRun;
+
+  explicit Shared(std::unique_ptr<Source> run) : source(std::move(run)) {}
+
+  // kDone/kFailed once an outcome is cached, kRunning while a retrieval is
+  // in flight, nullopt when only the source can tell.
+  std::optional<RunState> KnownState() const {
+    std::lock_guard<std::mutex> lock(mu);
+    if (outcome.has_value()) {
+      return outcome->ok() ? RunState::kDone : RunState::kFailed;
+    }
+    if (retrieving) return RunState::kRunning;
+    return std::nullopt;
+  }
+
+  // The cached outcome, else one retrieval through the source (Wait when
+  // `block`, else Report), caching what it returns unless not final. A
+  // non-blocking call answers kUnavailable rather than queue behind a
+  // retrieval in flight.
+  util::Result<RunReport> Retrieve(bool block) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!block && retrieving) {
+      return util::Status::Unavailable("run still in flight");
+    }
+    cv.wait(lock, [this] { return !retrieving; });
+    if (outcome.has_value()) return *outcome;
+    retrieving = true;
+    lock.unlock();
+    bool final = true;
+    util::Result<RunReport> result =
+        block ? source->Wait(&final) : source->Report(&final);
+    lock.lock();
+    retrieving = false;
+    cv.notify_all();
+    if (!final) return result;
+    outcome = std::move(result);
+    return *outcome;
+  }
+
+  const std::unique_ptr<Source> source;
   mutable std::mutex mu;
   std::condition_variable cv;
-  RunState state = RunState::kRunning;
-  util::Status error;
-  RunReport report;
-  bool canceled = false;
-  // Thread modes: the worker; joined by Wait/Cancel or the Sampler.
-  std::thread thread;
-  // The run's streaming tracker (null for untracked runs); set before the
-  // handle escapes, immutable afterwards, so Progress() needs no lock.
-  std::shared_ptr<obs::ProgressTracker> progress;
-  // Service mode.
-  service::SessionId session = 0;
-  bool report_cached = false;  // Wait retrieved + detached the session
-  bool waiting = false;        // a Wait is blocked inside the service
-  // Remote mode: the wire-session proxy every handle method delegates to
-  // (it carries its own synchronization and report cache).
-  std::unique_ptr<rpc::RemoteRunHandle> remote;
+  bool retrieving = false;
+  std::optional<util::Result<RunReport>> outcome;
+};
 
-  // Waits until the run leaves kRunning and joins the worker thread
-  // (thread modes). Exactly one caller steals the thread object; the lock
-  // is dropped around the join.
-  void WaitDoneLocked(std::unique_lock<std::mutex>& lock) {
-    cv.wait(lock, [this] { return state != RunState::kRunning; });
-    if (thread.joinable()) {
-      std::thread worker = std::move(thread);
-      lock.unlock();
-      worker.join();
-      lock.lock();
-    }
+// Thread modes: a worker thread runs the walk and publishes its outcome;
+// retrieval joins the worker.
+class RunHandle::Shared::ThreadRun final : public Source {
+ public:
+  RunState Poll() override { return state_.load(std::memory_order_acquire); }
+  util::Result<RunReport> Wait(bool* /*final*/) override {
+    if (worker.joinable()) worker.join();
+    return std::move(outcome_);
   }
+  // Called once, by the worker, as its last act.
+  void Publish(util::Result<RunReport> outcome) {
+    const RunState state = outcome.ok() ? RunState::kDone : RunState::kFailed;
+    outcome_ = std::move(outcome);
+    state_.store(state, std::memory_order_release);
+  }
+
+  std::thread worker;
+
+ private:
+  util::Result<RunReport> outcome_ =
+      util::Status::Unavailable("run still in flight");
+  std::atomic<RunState> state_{RunState::kRunning};
+};
+
+// Service mode: a SamplingService session. Retrieval waits the session
+// out, finishes its report and detaches it, freeing its admission slot.
+class RunHandle::Shared::ServiceRun final : public Source {
+ public:
+  ServiceRun(Sampler* sampler, service::SessionId session,
+             core::WalkerSpec spec)
+      : sampler_(sampler), session_(session), spec_(std::move(spec)) {}
+
+  RunState Poll() override {
+    auto polled = sampler_->service()->Poll(session_);
+    if (!polled.ok() || *polled == service::SessionState::kFailed) {
+      return RunState::kFailed;
+    }
+    return *polled == service::SessionState::kDone ? RunState::kDone
+                                                   : RunState::kRunning;
+  }
+
+  util::Result<RunReport> Wait(bool* /*final*/) override {
+    auto session = sampler_->service()->Wait(session_);
+    RunReport report;
+    util::Status status = session.status();
+    if (session.ok()) {
+      report.ensemble = std::move(session->ensemble);
+      report.charged_queries = session->charged_queries;
+      report.tenant = session->pipeline;
+      report.latency_us = session->LatencyUs();
+      report.flight = std::move(session->flight);
+      status = sampler_->FinishReport(spec_, progress.get(), &report);
+    }
+    (void)sampler_->service()->Detach(session_);
+    if (!status.ok()) return status;
+    return report;
+  }
+
+ private:
+  Sampler* sampler_;
+  service::SessionId session_;
+  core::WalkerSpec spec_;  // for estimand bias probing at report time
+};
+
+// Remote mode: a session on a histwalk_serviced daemon; each call is one
+// RPC on the sampler's connection.
+class RunHandle::Shared::RemoteRun final : public Source {
+ public:
+  RemoteRun(std::shared_ptr<rpc::Client> client, uint64_t session)
+      : client_(std::move(client)), session_(session) {}
+
+  // A transport failure leaves the outcome unreachable, which is what
+  // failed means to this caller.
+  RunState Poll() override {
+    return client_->Poll(session_).value_or(RunState::kFailed);
+  }
+  // A deadline expiry means only that the walk outran the RPC; the caller
+  // may Wait again.
+  util::Result<RunReport> Wait(bool* final) override {
+    util::Result<RunReport> report = client_->Wait(session_);
+    *final = !util::IsDeadlineExceeded(report.status());
+    return report;
+  }
+  // One kReport RPC. Its errors (still running, a deadline, a dead
+  // connection) are not told apart on the wire, so only a report is final.
+  util::Result<RunReport> Report(bool* final) override {
+    util::Result<RunReport> report = client_->Report(session_);
+    *final = report.ok();
+    return report;
+  }
+  void Cancel() override { (void)client_->Cancel(session_); }
+  obs::ProgressSnapshot Progress() const override {
+    return client_->Progress(session_).value_or(obs::ProgressSnapshot{});
+  }
+
+ private:
+  std::shared_ptr<rpc::Client> client_;
+  uint64_t session_;
 };
 
 namespace {
@@ -192,125 +338,46 @@ RunState RunHandle::Poll() const {
   // An empty handle has no run to be running; report it as failed, the
   // recoverable analogue of Wait/Report's FailedPrecondition.
   if (shared_ == nullptr) return RunState::kFailed;
-  if (shared_->mode == ExecutionMode::kRemote) return shared_->remote->Poll();
-  std::lock_guard<std::mutex> lock(shared_->mu);
-  if (shared_->mode != ExecutionMode::kService || shared_->report_cached ||
-      shared_->waiting) {
-    return shared_->state;
-  }
-  auto polled = shared_->sampler->service()->Poll(shared_->session);
-  if (!polled.ok()) return shared_->state;  // detach race: state is cached
-  switch (*polled) {
-    case service::SessionState::kRunning:
-      return RunState::kRunning;
-    case service::SessionState::kDone:
-      return RunState::kDone;
-    case service::SessionState::kFailed:
-      return RunState::kFailed;
-  }
-  return shared_->state;
+  if (auto state = shared_->KnownState()) return *state;
+  const RunState polled = shared_->source->Poll();
+  // A retrieval that began meanwhile may have detached a service session
+  // (whose Poll then fails); the session's own answer wins.
+  return shared_->KnownState().value_or(polled);
 }
 
 util::Result<RunReport> RunHandle::Wait() {
   if (shared_ == nullptr) {
     return util::Status::FailedPrecondition("Wait() on an empty RunHandle");
   }
-  if (shared_->mode == ExecutionMode::kRemote) return shared_->remote->Wait();
-  Shared& shared = *shared_;
-  std::unique_lock<std::mutex> lock(shared.mu);
-  if (shared.mode == ExecutionMode::kService) {
-    // One retriever at a time; later callers see the cached copy.
-    shared.cv.wait(lock, [&] { return !shared.waiting; });
-    if (!shared.report_cached) {
-      shared.waiting = true;
-      lock.unlock();
-      auto session = shared.sampler->service()->Wait(shared.session);
-      RunReport report;
-      util::Status status;
-      if (session.ok()) {
-        report.ensemble = std::move(session->ensemble);
-        report.charged_queries = session->charged_queries;
-        report.tenant = session->pipeline;
-        report.latency_us = session->LatencyUs();
-        report.flight = std::move(session->flight);
-        status = shared.sampler->FinishReport(shared.spec,
-                                              shared.progress.get(), &report);
-      } else {
-        status = session.status();
-      }
-      lock.lock();
-      shared.waiting = false;
-      shared.report_cached = true;
-      if (status.ok()) {
-        shared.report = std::move(report);
-        shared.state = RunState::kDone;
-      } else {
-        shared.error = std::move(status);
-        shared.state = RunState::kFailed;
-      }
-      shared.cv.notify_all();
-      lock.unlock();
-      // The session's admission slot frees as soon as the report is safe.
-      (void)shared.sampler->service()->Detach(shared.session);
-      lock.lock();
-    }
-  } else {
-    shared.WaitDoneLocked(lock);
-  }
-  if (shared.canceled) return CanceledError();
-  if (shared.state == RunState::kFailed) return shared.error;
-  return shared.report;
+  return shared_->Retrieve(/*block=*/true);
 }
 
 util::Result<RunReport> RunHandle::Report() const {
   if (shared_ == nullptr) {
     return util::Status::FailedPrecondition("Report() on an empty RunHandle");
   }
-  if (shared_->mode == ExecutionMode::kRemote) {
-    return shared_->remote->Report();
-  }
-  if (shared_->mode == ExecutionMode::kService) {
-    // Done sessions resolve without blocking (the service's Wait returns
-    // immediately); running ones are refused rather than waited out.
-    if (Poll() == RunState::kRunning) {
-      return util::Status::Unavailable("run still in flight");
-    }
-    return const_cast<RunHandle*>(this)->Wait();
-  }
-  std::lock_guard<std::mutex> lock(shared_->mu);
-  if (shared_->state == RunState::kRunning) {
-    return util::Status::Unavailable("run still in flight");
-  }
-  if (shared_->canceled) return CanceledError();
-  if (shared_->state == RunState::kFailed) return shared_->error;
-  return shared_->report;
+  return shared_->Retrieve(/*block=*/false);
 }
 
 obs::ProgressSnapshot RunHandle::Progress() const {
   if (shared_ == nullptr) return {};
-  if (shared_->mode == ExecutionMode::kRemote) {
-    return shared_->remote->Progress();
-  }
-  if (shared_->progress == nullptr) return {};
-  return shared_->progress->Snapshot();
+  return shared_->source->Progress();
 }
 
 void RunHandle::Cancel() {
   if (shared_ == nullptr) return;
-  if (shared_->mode == ExecutionMode::kRemote) {
-    shared_->remote->Cancel();
-    return;
+  Shared& shared = *shared_;
+  std::unique_lock<std::mutex> lock(shared.mu);
+  shared.cv.wait(lock, [&] { return !shared.retrieving; });
+  if (!shared.outcome.has_value()) {
+    shared.retrieving = true;
+    lock.unlock();
+    shared.source->Cancel();
+    lock.lock();
+    shared.retrieving = false;
+    shared.cv.notify_all();
   }
-  // Cooperative: wait the walk out, then discard the report. Service mode
-  // also frees the admission slot (Wait detaches).
-  (void)Wait();
-  std::lock_guard<std::mutex> lock(shared_->mu);
-  shared_->canceled = true;
-  shared_->report = RunReport{};
-  if (shared_->state == RunState::kDone) {
-    shared_->state = RunState::kFailed;
-    shared_->error = CanceledError();
-  }
+  shared.outcome = CanceledError();  // discards the report, if any
 }
 
 // ---- SamplerBuilder ---------------------------------------------------
@@ -662,10 +729,9 @@ Sampler::~Sampler() {
     std::lock_guard<std::mutex> lock(mu_);
     active = std::move(active_);
   }
-  if (active != nullptr) {
-    std::unique_lock<std::mutex> lock(active->mu);
-    active->WaitDoneLocked(lock);
-  }
+  // The thread modes' last run: wait it out and join its worker, unless a
+  // Wait already did.
+  if (active != nullptr) (void)active->Retrieve(/*block=*/true);
   // Stop serving before anything the serving thread reads (the registry
   // collector, RunsJson's session map) is torn down.
   telemetry_.reset();
@@ -708,46 +774,45 @@ util::Result<RunHandle> Sampler::RunThreaded(const RunOptions& options) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (active_ != nullptr) {
-    std::unique_lock<std::mutex> run_lock(active_->mu);
-    if (active_->state == RunState::kRunning) {
+    if (active_->source->Poll() == RunState::kRunning) {
       return util::Status::FailedPrecondition(
           "a run is already in flight; Wait() it first (inline/pipelined "
           "samplers execute one run at a time)");
     }
     // Finished but never waited: reap the worker before replacing it.
-    active_->WaitDoneLocked(run_lock);
+    (void)active_->Retrieve(/*block=*/true);
   }
+  auto source = std::make_unique<RunHandle::Shared::ThreadRun>();
+  RunHandle::Shared::ThreadRun* run = source.get();
   // The tracker is built on this (serial) path so its tracer counter
   // track registers deterministically, and wired to the group's charge
   // counter windowed at run start — matching report.charged_queries.
-  std::shared_ptr<obs::ProgressTracker> progress;
   if (options.progress_interval > 0 || options.stop_at_ci_half_width > 0.0) {
-    HW_ASSIGN_OR_RETURN(progress,
+    HW_ASSIGN_OR_RETURN(run->progress,
                         MakeProgressTracker(options, /*for_replay=*/false));
     std::function<uint64_t()> clock_fn;
     if (remote_ != nullptr) {
       clock_fn = [remote = remote_.get()] { return remote->sim_now_us(); };
     }
-    progress->AttachCallbacks(
+    run->progress->AttachCallbacks(
         [group = group_.get(), before = group_->charged_queries()] {
           const uint64_t now = group->charged_queries();
           return now > before ? now - before : 0;
         },
         std::move(clock_fn));
   }
-  auto shared = std::make_shared<RunHandle::Shared>();
-  shared->sampler = this;
-  shared->mode = mode_;
-  shared->spec = options.walker;
-  shared->progress = std::move(progress);
-  shared->thread = std::thread([this, shared, options] {
+  live_runs_[0] = run->progress;
+  // The worker reaches its run through a plain pointer: active_ keeps the
+  // session alive until the worker is joined.
+  run->worker = std::thread([this, run, options] {
+    obs::ProgressTracker* progress = run->progress.get();
     estimate::EnsembleOptions ensemble{.num_walkers = options.num_walkers,
                                        .seed = options.seed,
                                        .max_steps = options.max_steps,
                                        .query_budget = options.query_budget,
                                        .num_threads = inline_threads_,
                                        .tracer = obs_.tracer,
-                                       .progress = shared->progress.get()};
+                                       .progress = progress};
     // Pipelined mode: misses route through a per-run pipeline, attached
     // for exactly this run and constructed first so its trace track
     // registers before the walkers' tracks.
@@ -756,38 +821,27 @@ util::Result<RunHandle> Sampler::RunThreaded(const RunOptions& options) {
       pipeline.emplace(group_.get(), pipeline_);
       group_->set_async_fetcher(&*pipeline);
     }
-    auto run = estimate::RunEnsemble(*group_, options.walker, ensemble);
+    auto ran = estimate::RunEnsemble(*group_, options.walker, ensemble);
     if (pipeline.has_value()) {
       group_->set_async_fetcher(nullptr);
-      if (run.ok()) run->pipeline_stats = pipeline->stats();
+      if (ran.ok()) ran->pipeline_stats = pipeline->stats();
       pipeline.reset();
     }
     // Freeze the tracker's bill/clock at run end: the handle (and later
     // scrapes) keep reading the tracker, but this run's accounting is
     // closed.
-    if (shared->progress != nullptr) shared->progress->DetachCallbacks();
+    if (progress != nullptr) progress->DetachCallbacks();
+    if (!ran.ok()) return run->Publish(ran.status());
     RunReport report;
-    util::Status status;
-    if (run.ok()) {
-      report.ensemble = *std::move(run);
-      report.charged_queries = report.ensemble.charged_queries;
-      if (flight_ != nullptr) report.flight = flight_->TakeLog();
-      status = FinishReport(options.walker, shared->progress.get(), &report);
-    } else {
-      status = run.status();
-    }
-    std::lock_guard<std::mutex> run_lock(shared->mu);
-    if (status.ok()) {
-      shared->report = std::move(report);
-      shared->state = RunState::kDone;
-    } else {
-      shared->error = std::move(status);
-      shared->state = RunState::kFailed;
-    }
-    shared->cv.notify_all();
+    report.ensemble = *std::move(ran);
+    report.charged_queries = report.ensemble.charged_queries;
+    if (flight_ != nullptr) report.flight = flight_->TakeLog();
+    util::Status status = FinishReport(options.walker, progress, &report);
+    if (!status.ok()) return run->Publish(std::move(status));
+    run->Publish(std::move(report));
   });
-  active_ = shared;
-  return RunHandle(std::move(shared));
+  active_ = std::make_shared<RunHandle::Shared>(std::move(source));
+  return RunHandle(active_);
 }
 
 util::Result<RunHandle> Sampler::RunService(const RunOptions& options) {
@@ -808,31 +862,22 @@ util::Result<RunHandle> Sampler::RunService(const RunOptions& options) {
                                   .weight = options.weight,
                                   .progress = progress};
   HW_ASSIGN_OR_RETURN(service::SessionId id, service_->Submit(session));
-  auto shared = std::make_shared<RunHandle::Shared>();
-  shared->sampler = this;
-  shared->mode = mode_;
-  shared->spec = options.walker;
-  shared->progress = progress;
-  shared->session = id;
+  auto run = std::make_unique<RunHandle::Shared::ServiceRun>(this, id,
+                                                             options.walker);
+  run->progress = progress;
   if (progress != nullptr) {
     // Scrapes label this session's hw_est_* gauges; the weak_ptr expires
     // with the last handle and is pruned at scrape time.
     std::lock_guard<std::mutex> lock(mu_);
-    session_progress_[id] = progress;
+    live_runs_[id] = progress;
   }
-  return RunHandle(std::move(shared));
+  return RunHandle(std::make_shared<RunHandle::Shared>(std::move(run)));
 }
 
 util::Result<RunHandle> Sampler::RunRemote(const RunOptions& options) {
-  HW_ASSIGN_OR_RETURN(
-      std::unique_ptr<rpc::RemoteRunHandle> remote,
-      rpc::RemoteRunHandle::Submit(rpc_client_, options));
-  auto shared = std::make_shared<RunHandle::Shared>();
-  shared->sampler = this;
-  shared->mode = mode_;
-  shared->spec = options.walker;
-  shared->remote = std::move(remote);
-  return RunHandle(std::move(shared));
+  HW_ASSIGN_OR_RETURN(uint64_t session, rpc_client_->Submit(options));
+  return RunHandle(std::make_shared<RunHandle::Shared>(
+      std::make_unique<RunHandle::Shared::RemoteRun>(rpc_client_, session)));
 }
 
 util::Status Sampler::SaveHistory() {
@@ -846,12 +891,9 @@ util::Status Sampler::SaveHistory() {
     // (Service mode checkpoints its long-lived shared cache while sessions
     // run — that IS its save-point semantics.)
     std::lock_guard<std::mutex> lock(mu_);
-    if (active_ != nullptr) {
-      std::lock_guard<std::mutex> run_lock(active_->mu);
-      if (active_->state == RunState::kRunning) {
-        return util::Status::FailedPrecondition(
-            "a run is in flight; Wait() it before SaveHistory()");
-      }
+    if (active_ != nullptr && active_->source->Poll() == RunState::kRunning) {
+      return util::Status::FailedPrecondition(
+          "a run is in flight; Wait() it before SaveHistory()");
     }
   }
   const access::HistoryCache& cache = mode_ == ExecutionMode::kService
@@ -996,27 +1038,15 @@ void Sampler::CollectSamples(std::vector<obs::Sample>& out) const {
                              SampleKind::kCounter,
                              group_->charged_queries()));
   }
-  // hw_est_* convergence gauges: thread modes export the current (or most
-  // recent) run's snapshot unlabelled; service mode labels each live
-  // session's snapshot. Snapshot() never blocks walkers.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (service_mode) {
-      for (auto it = session_progress_.begin();
-           it != session_progress_.end();) {
-        if (auto tracker = it->second.lock()) {
-          AppendEstimateSamples(
-              out, tracker->Snapshot(),
-              obs::RenderLabel("session", std::to_string(it->first)));
-          ++it;
-        } else {
-          it = session_progress_.erase(it);
-        }
-      }
-    } else if (active_ != nullptr && active_->progress != nullptr) {
-      AppendEstimateSamples(out, active_->progress->Snapshot(), "");
-    }
-  }
+  // hw_est_* convergence gauges: the thread modes' current (or most
+  // recent) run unlabelled, each live service session labelled.
+  // Snapshot() never blocks walkers.
+  ForEachLiveRun([&](uint64_t session, const obs::ProgressSnapshot& snap) {
+    AppendEstimateSamples(
+        out, snap,
+        session == 0 ? ""
+                     : obs::RenderLabel("session", std::to_string(session)));
+  });
   // hw_prof_* rides this collector (gated on the explicit wiring) so two
   // samplers scraping the process Global() registry never double-report
   // the shared profiler's sites.
@@ -1086,26 +1116,26 @@ void AppendRunJson(std::string& out, uint64_t session, bool has_session,
 
 }  // namespace
 
+void Sampler::ForEachLiveRun(
+    const std::function<void(uint64_t, const obs::ProgressSnapshot&)>& fn)
+    const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = live_runs_.begin(); it != live_runs_.end();) {
+    if (auto tracker = it->second.lock()) {
+      fn(it->first, tracker->Snapshot());
+      ++it;
+    } else {
+      it = live_runs_.erase(it);
+    }
+  }
+}
+
 std::string Sampler::RunsJson() const {
   std::string out = "[";
-  bool first = true;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (mode_ == ExecutionMode::kService) {
-    for (auto it = session_progress_.begin(); it != session_progress_.end();) {
-      if (auto tracker = it->second.lock()) {
-        if (!first) out += ',';
-        first = false;
-        AppendRunJson(out, it->first, /*has_session=*/true,
-                      tracker->Snapshot());
-        ++it;
-      } else {
-        it = session_progress_.erase(it);
-      }
-    }
-  } else if (active_ != nullptr && active_->progress != nullptr) {
-    first = false;
-    AppendRunJson(out, 0, /*has_session=*/false, active_->progress->Snapshot());
-  }
+  ForEachLiveRun([&](uint64_t session, const obs::ProgressSnapshot& snap) {
+    if (out.size() > 1) out += ',';
+    AppendRunJson(out, session, /*has_session=*/session != 0, snap);
+  });
   out += ']';
   return out;
 }

@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -68,7 +69,6 @@
 
 namespace histwalk::rpc {
 class Client;
-class RemoteRunHandle;
 }  // namespace histwalk::rpc
 
 namespace histwalk::api {
@@ -238,6 +238,13 @@ class Sampler;
 // and hold the result" and "Submit/Poll/Wait/Detach a service session".
 // Cheap to copy (copies observe the same run). Handles must not outlive
 // their Sampler.
+//
+// Every execution mode shares one session policy: one retrieval (Wait,
+// Report or Cancel) runs at a time, its outcome (report or error) is
+// cached for every later caller, and Cancel pins the cancellation error in
+// its place. A mode supplies only the run: a worker thread (inline,
+// pipelined), a SamplingService session (service) or the run-session RPCs
+// on the daemon connection (remote).
 class RunHandle {
  public:
   // An empty handle: !valid(); Wait/Report fail with FailedPrecondition,
@@ -246,18 +253,22 @@ class RunHandle {
 
   bool valid() const { return shared_ != nullptr; }
 
-  // Current state without blocking. A canceled run (or an empty handle)
-  // reports kFailed.
+  // Current state without blocking: the cached outcome's, kRunning while
+  // a retrieval is in flight, else the run's own. A canceled run, an empty
+  // handle and an unreachable remote run report kFailed.
   RunState Poll() const;
 
   // Blocks until the run finishes, then returns its report (kDone) or the
-  // error that ended it. In service mode the first Wait also detaches the
-  // session, freeing its admission slot — the report lives on in the
-  // handle and repeated Wait/Report calls return the cached copy.
+  // error that ended it. Concurrent callers queue behind the one
+  // retrieval and share its cached outcome. In service mode that
+  // retrieval also detaches the session, freeing its admission slot. A
+  // remote kDeadlineExceeded (the walk outran rpc_timeout_ms) is returned
+  // but not cached: Wait again to keep waiting.
   util::Result<RunReport> Wait();
 
   // Non-blocking report access: the report if the run is done, the run's
-  // error if it failed, kUnavailable while it is still running.
+  // error if it failed, kUnavailable (never cached) while it is still
+  // running or another retrieval is in flight.
   util::Result<RunReport> Report() const;
 
   // Latest streaming ProgressSnapshot, without blocking the walkers or
@@ -270,8 +281,9 @@ class RunHandle {
 
   // Abandons the run and discards its report. Walkers have no preemption
   // seam, so this is cooperative: Cancel blocks until the in-flight walk
-  // finishes, then frees the session slot / joins the worker. After
-  // Cancel, Poll reports kFailed and Wait returns the cancellation error.
+  // finishes (a remote run is sent kCancel), then frees the session slot /
+  // joins the worker. After Cancel, Poll reports kFailed and Wait/Report
+  // return kFailedPrecondition("run was canceled"). Idempotent.
   void Cancel();
 
  private:
@@ -416,8 +428,8 @@ class SamplerBuilder {
 
 // The assembled stack. Owns (as configured) the GraphAccess, the
 // RemoteBackend, the HistoryStore, and either a SharedAccessGroup (inline/
-// pipelined) or a SamplingService (service mode). The destructor waits out
-// every outstanding run.
+// pipelined), a SamplingService (service mode) or a daemon connection
+// (remote mode). The destructor waits out every outstanding run.
 //
 // Threading: Run/accessors are thread-safe. Inline and pipelined modes
 // execute one run at a time (a second Run while one is in flight fails
@@ -498,6 +510,11 @@ class Sampler {
   // The /runs body: a JSON array with one object per live run/session
   // (mode, session id, latest ProgressSnapshot). Thread-safe.
   std::string RunsJson() const;
+  // Calls fn(session, snapshot) for each live tracked run in live_runs_
+  // order, pruning expired entries.
+  void ForEachLiveRun(
+      const std::function<void(uint64_t, const obs::ProgressSnapshot&)>& fn)
+      const;
 
   ExecutionMode mode_ = ExecutionMode::kInline;
   unsigned inline_threads_ = 0;
@@ -537,12 +554,14 @@ class Sampler {
   util::Status warm_start_status_;
 
   mutable std::mutex mu_;
-  std::shared_ptr<RunHandle::Shared> active_;  // thread modes: current run
-  // Service mode: live trackers by session, for per-session hw_est_*
-  // scrape labels; expired entries are pruned at scrape time (hence
-  // mutable — CollectSamples is logically const).
-  mutable std::map<service::SessionId, std::weak_ptr<obs::ProgressTracker>>
-      session_progress_;
+  // Thread modes: the current (or last) run, reaped by the next Run and
+  // by the destructor.
+  std::shared_ptr<RunHandle::Shared> active_;
+  // The live runs' progress trackers, read by scrapes (hw_est_*) and
+  // /runs: each service session under its id (labelled session="<id>"),
+  // the thread modes' current run under 0 (unlabelled). Expired entries
+  // are pruned on read (hence mutable — the readers are logically const).
+  mutable std::map<uint64_t, std::weak_ptr<obs::ProgressTracker>> live_runs_;
 
   std::mutex bias_mu_;
   std::map<core::WalkerType, core::StationaryBias> bias_cache_;

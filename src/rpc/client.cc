@@ -182,129 +182,47 @@ util::Result<std::string> Client::Call(MsgType type, std::string payload,
   return std::move(pending->reply.payload);
 }
 
-// ---- RemoteRunHandle --------------------------------------------------
+// ---- run-session RPCs -------------------------------------------------
 
-namespace {
-
-util::Status CanceledError() {
-  return util::Status::FailedPrecondition("run was canceled");
-}
-
-}  // namespace
-
-util::Result<std::unique_ptr<RemoteRunHandle>> RemoteRunHandle::Submit(
-    std::shared_ptr<Client> client, const api::RunOptions& options) {
+util::Result<uint64_t> Client::Submit(const api::RunOptions& options) {
   HW_ASSIGN_OR_RETURN(std::string payload, EncodeRunOptions(options));
-  HW_ASSIGN_OR_RETURN(std::string reply,
-                      client->Call(MsgType::kSubmit, std::move(payload),
-                                   MsgType::kSubmitOk));
-  HW_ASSIGN_OR_RETURN(uint64_t session, DecodeSessionId(reply));
-  return std::unique_ptr<RemoteRunHandle>(
-      new RemoteRunHandle(std::move(client), session));
+  HW_ASSIGN_OR_RETURN(std::string reply, Call(MsgType::kSubmit,
+                                              std::move(payload),
+                                              MsgType::kSubmitOk));
+  return DecodeSessionId(reply);
 }
 
-util::Result<api::RunReport> RemoteRunHandle::CachedLocked() const {
-  if (failed_) return error_;
-  return report_;
+util::Result<api::RunState> Client::Poll(uint64_t session) {
+  HW_ASSIGN_OR_RETURN(std::string reply, Call(MsgType::kPoll,
+                                              EncodeSessionId(session),
+                                              MsgType::kPollOk));
+  return DecodeRunState(reply);
 }
 
-util::Result<api::RunReport> RemoteRunHandle::Retrieve(MsgType type) const {
-  HW_ASSIGN_OR_RETURN(std::string reply,
-                      client_->Call(type, EncodeSessionId(session_),
-                                    MsgType::kReportOk));
+util::Result<api::RunReport> Client::Wait(uint64_t session) {
+  HW_ASSIGN_OR_RETURN(std::string reply, Call(MsgType::kWait,
+                                              EncodeSessionId(session),
+                                              MsgType::kReportOk));
   return DecodeRunReport(reply);
 }
 
-api::RunState RemoteRunHandle::Poll() const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cached_) return failed_ ? api::RunState::kFailed : api::RunState::kDone;
-  }
-  auto reply = client_->Call(MsgType::kPoll, EncodeSessionId(session_),
-                             MsgType::kPollOk);
-  if (!reply.ok()) return api::RunState::kFailed;
-  auto state = DecodeRunState(*reply);
-  if (!state.ok()) return api::RunState::kFailed;
-  return *state;
+util::Result<api::RunReport> Client::Report(uint64_t session) {
+  HW_ASSIGN_OR_RETURN(std::string reply, Call(MsgType::kReport,
+                                              EncodeSessionId(session),
+                                              MsgType::kReportOk));
+  return DecodeRunReport(reply);
 }
 
-util::Result<api::RunReport> RemoteRunHandle::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  // One retriever at a time; later callers see the cached copy.
-  cv_.wait(lock, [this] { return !waiting_; });
-  if (cached_) return CachedLocked();
-  waiting_ = true;
-  lock.unlock();
-  auto report = Retrieve(MsgType::kWait);
-  lock.lock();
-  waiting_ = false;
-  cv_.notify_all();
-  if (!report.ok() && util::IsDeadlineExceeded(report.status())) {
-    // The walk outran the RPC deadline — the session is fine, the caller
-    // may Wait again. Not a terminal outcome, so not cached.
-    return report.status();
-  }
-  cached_ = true;
-  if (report.ok()) {
-    report_ = *std::move(report);
-  } else {
-    failed_ = true;
-    error_ = report.status();
-  }
-  return CachedLocked();
+util::Result<obs::ProgressSnapshot> Client::Progress(uint64_t session) {
+  HW_ASSIGN_OR_RETURN(std::string reply, Call(MsgType::kProgress,
+                                              EncodeSessionId(session),
+                                              MsgType::kProgressOk));
+  return DecodeProgressSnapshot(reply);
 }
 
-util::Result<api::RunReport> RemoteRunHandle::Report() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cached_) return CachedLocked();
-  }
-  auto report = Retrieve(MsgType::kReport);
-  // Not cached on failure: kUnavailable means still running, a deadline
-  // expiry is transient — neither is the run's outcome.
-  if (!report.ok()) return report.status();
-  std::lock_guard<std::mutex> lock(mu_);
-  // A Cancel (or failed Wait) that raced in pinned the outcome; its pin
-  // wins over the copy this call retrieved.
-  if (cached_) return CachedLocked();
-  if (!waiting_) {
-    cached_ = true;
-    report_ = *std::move(report);
-    return CachedLocked();
-  }
-  // A Wait is mid-RPC; hand back this call's copy without touching the
-  // cache — the Wait will pin its own identical outcome.
-  return *std::move(report);
-}
-
-obs::ProgressSnapshot RemoteRunHandle::Progress() const {
-  auto reply = client_->Call(MsgType::kProgress, EncodeSessionId(session_),
-                             MsgType::kProgressOk);
-  if (!reply.ok()) return {};
-  auto snapshot = DecodeProgressSnapshot(*reply);
-  if (!snapshot.ok()) return {};
-  return *snapshot;
-}
-
-void RemoteRunHandle::Cancel() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return !waiting_; });
-  if (canceled_) return;
-  waiting_ = true;
-  lock.unlock();
-  // Blocks until the walk ends server-side (cooperative cancel); the
-  // outcome is pinned locally whatever the RPC returned — a dead
-  // connection cannot un-cancel the caller's intent.
-  (void)client_->Call(MsgType::kCancel, EncodeSessionId(session_),
-                      MsgType::kCancelOk);
-  lock.lock();
-  waiting_ = false;
-  canceled_ = true;
-  cached_ = true;
-  failed_ = true;
-  error_ = CanceledError();
-  report_ = api::RunReport{};
-  cv_.notify_all();
+util::Status Client::Cancel(uint64_t session) {
+  return Call(MsgType::kCancel, EncodeSessionId(session), MsgType::kCancelOk)
+      .status();
 }
 
 }  // namespace histwalk::rpc

@@ -18,8 +18,9 @@
 #include "util/status.h"
 
 // The client side of the wire protocol: a pipelined connection to a
-// histwalk_serviced daemon, and a RemoteRunHandle that mirrors the
-// api::RunHandle surface over it.
+// histwalk_serviced daemon, with one method per run-session RPC. A remote
+// api::RunHandle is a session over these calls; the handle, not the
+// client, caches outcomes and pins cancellation.
 //
 // Pipelining: every Call() gets a fresh correlation id, writes its frame,
 // and parks on a condition variable until the connection's single reader
@@ -72,6 +73,17 @@ class Client {
   util::Result<std::string> Call(MsgType type, std::string payload,
                                  MsgType expected_reply);
 
+  // The run-session RPCs, one round trip each; errors are Call's.
+  util::Result<uint64_t> Submit(const api::RunOptions& options);
+  util::Result<api::RunState> Poll(uint64_t session);
+  // Blocks (server-side) until the run ends.
+  util::Result<api::RunReport> Wait(uint64_t session);
+  // Non-blocking: kUnavailable while the run is still going.
+  util::Result<api::RunReport> Report(uint64_t session);
+  util::Result<obs::ProgressSnapshot> Progress(uint64_t session);
+  // Cooperative: blocks (server-side) until the canceled walk ends.
+  util::Status Cancel(uint64_t session);
+
   // The server's handshake-reported name.
   const std::string& server_name() const { return server_name_; }
 
@@ -100,58 +112,6 @@ class Client {
   std::map<uint64_t, std::shared_ptr<Pending>> pending_;
   bool broken_ = false;
   util::Status broken_status_;
-};
-
-// One remote run, mirroring api::RunHandle semantics: Wait retrieves and
-// caches the report (later Wait/Report calls return the cached copy),
-// Cancel discards it and pins the canceled error, Poll/Progress observe
-// without blocking the run. Thread-safe like its in-process counterpart.
-// Holds a shared reference to its Client, so the handle stays usable for
-// cached reads even after the Sampler that created it is gone.
-class RemoteRunHandle {
- public:
-  // Submits `options` to the daemon and wraps the returned wire session.
-  static util::Result<std::unique_ptr<RemoteRunHandle>> Submit(
-      std::shared_ptr<Client> client, const api::RunOptions& options);
-
-  // Current state. A connection failure reports kFailed (the run's result
-  // is unreachable, which is what failed means to this caller).
-  api::RunState Poll() const;
-  // Blocks until the run finishes (server-side), then caches and returns
-  // the report. A DeadlineExceeded expiry is NOT cached — Wait again to
-  // keep waiting.
-  util::Result<api::RunReport> Wait();
-  // Non-blocking: the cached/finished report, kUnavailable while running.
-  util::Result<api::RunReport> Report();
-  // Latest streaming snapshot; a default snapshot when the run was not
-  // progress-tracked or the connection failed.
-  obs::ProgressSnapshot Progress() const;
-  // Cooperative cancel, api::RunHandle semantics: blocks until the walk
-  // ends server-side, discards the report, pins the canceled error.
-  void Cancel();
-
-  uint64_t session_id() const { return session_; }
-
- private:
-  RemoteRunHandle(std::shared_ptr<Client> client, uint64_t session)
-      : client_(std::move(client)), session_(session) {}
-
-  // kWait/kReport RPC + decode (no caching; callers cache under mu_).
-  util::Result<api::RunReport> Retrieve(MsgType type) const;
-  // The cached outcome; call with mu_ held and cached_ true.
-  util::Result<api::RunReport> CachedLocked() const;
-
-  std::shared_ptr<Client> client_;
-  uint64_t session_ = 0;
-
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  bool waiting_ = false;  // a Wait/Cancel RPC is in flight
-  bool cached_ = false;   // outcome pinned (report_ or error_)
-  bool failed_ = false;
-  bool canceled_ = false;
-  util::Status error_;
-  api::RunReport report_;
 };
 
 }  // namespace histwalk::rpc

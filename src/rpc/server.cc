@@ -66,7 +66,12 @@ void Server::Shutdown() {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& conn : connections_) conns.push_back(conn.get());
   }
-  for (Connection* conn : conns) conn->stream.ShutdownRead();
+  // Under conn->mu, which the connection's own Close() also takes: the fd
+  // is either still open or already -1, never a reused number.
+  for (Connection* conn : conns) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->stream.ShutdownRead();
+  }
   for (Connection* conn : conns) {
     if (conn->reader.joinable()) conn->reader.join();
   }
@@ -223,8 +228,8 @@ void Server::ServeConnection(Connection* conn) {
   conn->work_cv.notify_all();
   for (std::thread& worker : conn->workers) worker.join();
   ReapSessions(conn);
-  conn->stream.Close();
   std::lock_guard<std::mutex> lock(conn->mu);
+  conn->stream.Close();
   conn->finished = true;
 }
 
@@ -290,17 +295,6 @@ void Server::HandleRequest(Connection* conn, Frame request) {
   const uint64_t corr = request.correlation_id;
   const MsgType type = static_cast<MsgType>(request.type);
 
-  // Requests that address a session resolve their handle up front.
-  auto find_handle = [&](uint64_t id) -> util::Result<api::RunHandle> {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    auto it = conn->sessions.find(id);
-    if (it == conn->sessions.end()) {
-      return util::Status::NotFound("unknown rpc session " +
-                                    std::to_string(id));
-    }
-    return it->second;  // handles are cheap shared views
-  };
-
   switch (type) {
     case MsgType::kSubmit: {
       auto options = DecodeRunOptions(request.payload);
@@ -326,50 +320,12 @@ void Server::HandleRequest(Connection* conn, Frame request) {
       }
       return SendReply(conn, corr, MsgType::kSubmitOk, EncodeSessionId(id));
     }
-    case MsgType::kPoll: {
-      auto id = DecodeSessionId(request.payload);
-      if (!id.ok()) return SendError(conn, corr, id.status());
-      auto handle = find_handle(*id);
-      if (!handle.ok()) return SendError(conn, corr, handle.status());
-      return SendReply(conn, corr, MsgType::kPollOk,
-                       EncodeRunState(handle->Poll()));
-    }
-    case MsgType::kWait: {
-      auto id = DecodeSessionId(request.payload);
-      if (!id.ok()) return SendError(conn, corr, id.status());
-      auto handle = find_handle(*id);
-      if (!handle.ok()) return SendError(conn, corr, handle.status());
-      auto report = handle->Wait();
-      if (!report.ok()) return SendError(conn, corr, report.status());
-      return SendReply(conn, corr, MsgType::kReportOk,
-                       EncodeRunReport(*report));
-    }
-    case MsgType::kReport: {
-      auto id = DecodeSessionId(request.payload);
-      if (!id.ok()) return SendError(conn, corr, id.status());
-      auto handle = find_handle(*id);
-      if (!handle.ok()) return SendError(conn, corr, handle.status());
-      auto report = handle->Report();
-      if (!report.ok()) return SendError(conn, corr, report.status());
-      return SendReply(conn, corr, MsgType::kReportOk,
-                       EncodeRunReport(*report));
-    }
-    case MsgType::kProgress: {
-      auto id = DecodeSessionId(request.payload);
-      if (!id.ok()) return SendError(conn, corr, id.status());
-      auto handle = find_handle(*id);
-      if (!handle.ok()) return SendError(conn, corr, handle.status());
-      return SendReply(conn, corr, MsgType::kProgressOk,
-                       EncodeProgressSnapshot(handle->Progress()));
-    }
-    case MsgType::kCancel: {
-      auto id = DecodeSessionId(request.payload);
-      if (!id.ok()) return SendError(conn, corr, id.status());
-      auto handle = find_handle(*id);
-      if (!handle.ok()) return SendError(conn, corr, handle.status());
-      handle->Cancel();
-      return SendReply(conn, corr, MsgType::kCancelOk, "");
-    }
+    case MsgType::kPoll:
+    case MsgType::kWait:
+    case MsgType::kReport:
+    case MsgType::kProgress:
+    case MsgType::kCancel:
+      break;  // addresses a session: resolved below
     default: {
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -381,6 +337,37 @@ void Server::HandleRequest(Connection* conn, Frame request) {
                        util::Status::InvalidArgument(
                            "unknown message type " +
                            std::to_string(request.type)));
+    }
+  }
+
+  auto id = DecodeSessionId(request.payload);
+  if (!id.ok()) return SendError(conn, corr, id.status());
+  api::RunHandle handle;  // a cheap shared view of the session
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    auto it = conn->sessions.find(*id);
+    if (it != conn->sessions.end()) handle = it->second;
+  }
+  if (!handle.valid()) {
+    return SendError(conn, corr,
+                     util::Status::NotFound("unknown rpc session " +
+                                            std::to_string(*id)));
+  }
+  switch (type) {
+    case MsgType::kPoll:
+      return SendReply(conn, corr, MsgType::kPollOk,
+                       EncodeRunState(handle.Poll()));
+    case MsgType::kProgress:
+      return SendReply(conn, corr, MsgType::kProgressOk,
+                       EncodeProgressSnapshot(handle.Progress()));
+    case MsgType::kCancel:
+      handle.Cancel();
+      return SendReply(conn, corr, MsgType::kCancelOk, "");
+    default: {  // kWait, kReport
+      auto report = type == MsgType::kWait ? handle.Wait() : handle.Report();
+      if (!report.ok()) return SendError(conn, corr, report.status());
+      return SendReply(conn, corr, MsgType::kReportOk,
+                       EncodeRunReport(*report));
     }
   }
 }

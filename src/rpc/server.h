@@ -94,6 +94,7 @@ class Server {
 
  private:
   struct Connection {
+    // Closed under `mu`, where Shutdown() also reads its fd.
     util::TcpStream stream;
     std::mutex write_mu;  // one frame at a time on the wire
     std::thread reader;

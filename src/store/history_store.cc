@@ -19,9 +19,7 @@ util::Result<std::unique_ptr<HistoryStore>> HistoryStore::Open(
   HW_CHECK(!options.snapshot_path.empty());
   std::unique_ptr<HistoryStore> store(new HistoryStore(std::move(options)));
   if (!store->options_.wal_path.empty()) {
-    auto wal = WalWriter::Open(
-        store->options_.wal_path,
-        {.flush_each_record = store->options_.flush_each_append});
+    auto wal = WalWriter::Open(store->options_.wal_path);
     if (!wal.ok()) return wal.status();
     store->wal_ = *std::move(wal);
     store->stats_.wal_bytes = store->wal_->file_bytes();
@@ -33,8 +31,7 @@ util::Result<std::unique_ptr<HistoryStore>> HistoryStore::Open(
     // next fold — which snapshots the rebuilt cache, a superset of every
     // segment — retires them.
     store->AdoptFoldSegments();
-    if (store->options_.checkpoint_wal_bytes != 0 &&
-        store->options_.background_checkpoint) {
+    if (store->options_.checkpoint_wal_bytes != 0) {
       store->checkpoint_thread_ =
           std::thread([s = store.get()] { s->CheckpointThreadLoop(); });
     }
@@ -96,9 +93,7 @@ void HistoryStore::OnCacheInsert(graph::NodeId v,
     // A rotation's reopen failed earlier (transient IO error); retry it
     // here so journaling self-heals. Until it succeeds, every dropped
     // record is counted as an append failure.
-    auto reopened =
-        WalWriter::Open(options_.wal_path,
-                        {.flush_each_record = options_.flush_each_append});
+    auto reopened = WalWriter::Open(options_.wal_path);
     if (!reopened.ok()) {
       RecordError(reopened.status(), /*dropped_record=*/true);
       return;
@@ -120,24 +115,12 @@ void HistoryStore::OnCacheInsert(graph::NodeId v,
       wal_->file_bytes() < options_.checkpoint_wal_bytes) {
     return;
   }
-  if (options_.background_checkpoint) {
-    // Rotate + pin here (cheap), serialize + write on the checkpoint
-    // thread: this insert never waits for a snapshot write. While a fold
-    // is already in flight the rotation still happens — the active WAL is
-    // parked on the fold segment list instead of growing past the
-    // threshold — and the freshly pinned export supersedes any fold
-    // already queued.
-    RequestBackgroundFold(cache);
-  } else {
-    // Inline fold, still under mu_. Holding the lock is what makes the
-    // fold loss-free with a single WAL: a concurrent fetcher's cache
-    // insert lands BEFORE it blocks here to journal, so every record the
-    // reset erases is either in this snapshot or not yet journaled (it
-    // lands in the fresh WAL afterwards) — never dropped. The cost is
-    // that concurrent fetch completions stall for the length of one
-    // snapshot write each time the threshold trips.
-    RecordError(CheckpointLocked(cache), /*dropped_record=*/false);
-  }
+  // Rotate + pin here (cheap), serialize + write on the checkpoint
+  // thread: this insert never waits for a snapshot write. While a fold is
+  // already in flight the rotation still happens — the active WAL is
+  // parked on the fold segment list instead of growing past the threshold
+  // — and the freshly pinned export supersedes any fold already queued.
+  RequestBackgroundFold(cache);
 }
 
 void HistoryStore::AdoptFoldSegments() {
@@ -229,9 +212,7 @@ void HistoryStore::RequestBackgroundFold(const access::HistoryCache& cache) {
       ++rotated_total_;
       SyncFoldStats();
     }
-    auto reopened =
-        WalWriter::Open(options_.wal_path,
-                        {.flush_each_record = options_.flush_each_append});
+    auto reopened = WalWriter::Open(options_.wal_path);
     if (!reopened.ok()) {
       // No active WAL for now: each subsequent insert retries the reopen
       // (and counts ITSELF as an append failure until one succeeds — see
@@ -308,11 +289,6 @@ void HistoryStore::CheckpointThreadLoop() {
 util::Status HistoryStore::Checkpoint(const access::HistoryCache& cache) {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return !ckpt_inflight_; });
-  return CheckpointLocked(cache);
-}
-
-util::Status HistoryStore::CheckpointLocked(
-    const access::HistoryCache& cache) {
   HW_PROF_SCOPE("store/checkpoint");
   const uint64_t ckpt_start_us =
       tracer_ != nullptr ? tracer_->NowUs() : 0;

@@ -30,41 +30,33 @@
 //
 // Checkpointing: once the WAL grows past `checkpoint_wal_bytes`, the store
 // folds the CURRENT cache contents into a fresh snapshot (atomic
-// tmp+rename) and retires the logged records. Two modes:
-//
-//  * background_checkpoint = true (default): the tripping insert only
-//    ROTATES the WAL (the active log is renamed to `<wal_path>.fold` and a
-//    fresh one opened — a few syscalls) and pins an in-memory export of
-//    the cache; a dedicated checkpoint thread serializes and writes the
-//    snapshot and then deletes the fold segment. Inserts never stall on
-//    serialization or disk IO — the ROADMAP "background checkpointing off
-//    the insert path" item. Crash windows are safe by construction:
-//      - crash before the snapshot rename -> old snapshot + fold segment +
-//        active WAL replay to the full history;
-//      - crash after the rename, before the fold delete -> the fold
-//        segment overlaps the new snapshot; replaying it is idempotent,
-//        and the next checkpoint (or Checkpoint()) deletes it.
-//    The rotation invariant that makes the fold loss-free: a cache insert
-//    always lands BEFORE its journal append, so every record in the
-//    rotated-out segment is in the cache when the post-rotation export
-//    pins it (minus entries a bounded cache evicted — the cache is the
-//    source of truth, as in the inline mode). Rotated segments form a
-//    LIST (`<wal>.fold`, then `<wal>.fold.2`, `<wal>.fold.3`, ... in
-//    rotation order): while one fold is in flight, a second tripping
-//    insert still rotates the active WAL into a fresh queued segment —
-//    the WAL never grows past threshold + one insert — and re-pins a
-//    newer cache export that supersedes any fold already queued (the
-//    newest export covers every earlier segment's records, so at most one
-//    fold waits behind the in-flight one regardless of how many segments
-//    rotation queued). A successful fold retires every segment the pinned
-//    export covered, oldest first. The segment count is capped
-//    (kMaxFoldSegments); in the pathological case of folds failing
-//    repeatedly the WAL falls back to growing past the threshold rather
-//    than littering the directory.
-//  * background_checkpoint = false: the PR-3 inline behaviour — the fold
-//    (snapshot write included) runs on the inserting thread under the
-//    journal lock, stalling concurrent fetch completions for the length
-//    of one snapshot write.
+// tmp+rename) and retires the logged records. The tripping insert only
+// ROTATES the WAL (the active log is renamed to `<wal_path>.fold` and a
+// fresh one opened — a few syscalls) and pins an in-memory export of the
+// cache; a dedicated checkpoint thread serializes and writes the snapshot
+// and then deletes the fold segment. Inserts never stall on serialization
+// or disk IO. Crash windows are safe by construction:
+//  - crash before the snapshot rename -> old snapshot + fold segment +
+//    active WAL replay to the full history;
+//  - crash after the rename, before the fold delete -> the fold segment
+//    overlaps the new snapshot; replaying it is idempotent, and the next
+//    checkpoint (or Checkpoint()) deletes it.
+// The rotation invariant that makes the fold loss-free: a cache insert
+// always lands BEFORE its journal append, so every record in the
+// rotated-out segment is in the cache when the post-rotation export pins
+// it (minus entries a bounded cache evicted — the cache is the source of
+// truth). Rotated segments form a LIST (`<wal>.fold`, then
+// `<wal>.fold.2`, `<wal>.fold.3`, ... in rotation order): while one fold
+// is in flight, a second tripping insert still rotates the active WAL
+// into a fresh queued segment — the WAL never grows past threshold + one
+// insert — and re-pins a newer cache export that supersedes any fold
+// already queued (the newest export covers every earlier segment's
+// records, so at most one fold waits behind the in-flight one regardless
+// of how many segments rotation queued). A successful fold retires every
+// segment the pinned export covered, oldest first. The segment count is
+// capped (kMaxFoldSegments); in the pathological case of folds failing
+// repeatedly the WAL falls back to growing past the threshold rather than
+// littering the directory.
 //
 // (Like the WAL itself, checkpointing covers process death, not power
 // loss: files are flushed, never fsync'd — see the note in store/format.h.)
@@ -88,16 +80,10 @@ struct HistoryStoreOptions {
   // "" disables the WAL entirely: the store is snapshot-only and durability
   // is whatever the caller's explicit Checkpoint() calls provide.
   std::string wal_path = {};
-  // Fold the WAL into a fresh snapshot once it exceeds this many bytes;
-  // 0 = never checkpoint automatically.
+  // Fold the WAL into a fresh snapshot once it exceeds this many bytes,
+  // on the checkpoint thread (see above); 0 = never checkpoint
+  // automatically.
   uint64_t checkpoint_wal_bytes = 8ull * 1024 * 1024;
-  // Run automatic folds on a background thread (see the mode comparison
-  // above). The tripping insert still pays the WAL rotation plus an
-  // O(entries) pin-export of the cache; serialization and disk IO move
-  // off-path.
-  bool background_checkpoint = true;
-  // See WalWriterOptions.
-  bool flush_each_append = true;
   // Threads for parallel snapshot save/load (0 = hardware concurrency).
   unsigned num_threads = 0;
 };
@@ -182,7 +168,6 @@ class HistoryStore final : public access::HistoryJournal {
  private:
   explicit HistoryStore(HistoryStoreOptions options);
 
-  util::Status CheckpointLocked(const access::HistoryCache& cache);
   // Rotates the active WAL out to a fresh fold segment and pins a cache
   // export for the checkpoint thread (superseding any queued fold). Called
   // under mu_ by OnCacheInsert.

@@ -136,12 +136,11 @@ util::Result<WalReplayReport> ReplayWal(const std::string& path,
   return report;
 }
 
-WalWriter::WalWriter(std::string path, WalWriterOptions options)
-    : path_(std::move(path)), options_(options) {}
+WalWriter::WalWriter(std::string path) : path_(std::move(path)) {}
 
 util::Result<std::unique_ptr<WalWriter>> WalWriter::Open(
-    const std::string& path, WalWriterOptions options) {
-  std::unique_ptr<WalWriter> writer(new WalWriter(path, options));
+    const std::string& path) {
+  std::unique_ptr<WalWriter> writer(new WalWriter(path));
   auto existing = ScanWal(path);
   if (existing.ok()) {
     // Repair a torn tail before appending: never write after garbage.
@@ -206,7 +205,7 @@ util::Status WalWriter::Append(graph::NodeId v,
   AppendU32(record_, util::Crc32(scratch_));
   record_ += scratch_;
   out_.write(record_.data(), static_cast<std::streamsize>(record_.size()));
-  if (options_.flush_each_record) out_.flush();
+  out_.flush();
   if (!out_.good()) {
     return util::Status::Internal("wal append failed for " + path_);
   }

@@ -37,13 +37,6 @@
 
 namespace histwalk::store {
 
-struct WalWriterOptions {
-  // Flush the stream after every append. Keeps the every-record-durable
-  // contract on clean process exit and most crashes; turn off for bulk
-  // experiment runs where the WAL is only a convenience.
-  bool flush_each_record = true;
-};
-
 struct WalScan {
   uint64_t valid_records = 0;
   uint64_t valid_bytes = 0;      // prefix length ending at a record boundary
@@ -77,13 +70,15 @@ class WalWriter {
   // (kFailedPrecondition). Not thread-safe — callers (store::HistoryStore)
   // serialize appends.
   static util::Result<std::unique_ptr<WalWriter>> Open(
-      const std::string& path, WalWriterOptions options = {});
+      const std::string& path);
 
   ~WalWriter();  // flushes
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
+  // Writes one record and flushes it: every appended record survives the
+  // death of the process (the contract above).
   util::Status Append(graph::NodeId v,
                       std::span<const graph::NodeId> neighbors);
   util::Status Flush();
@@ -102,10 +97,9 @@ class WalWriter {
   uint64_t records_appended() const { return records_appended_; }
 
  private:
-  WalWriter(std::string path, WalWriterOptions options);
+  explicit WalWriter(std::string path);
 
   std::string path_;
-  WalWriterOptions options_;
   std::ofstream out_;
   uint64_t file_bytes_ = 0;
   uint64_t records_appended_ = 0;

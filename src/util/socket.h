@@ -184,18 +184,20 @@ class TcpStream {
 
 // A listening socket bound to 127.0.0.1. Accept() blocks; Shutdown() from
 // another thread wakes it with an error, which is how the telemetry
-// server's accept loop is told to exit.
+// server's accept loop is told to exit. The socket is closed only by the
+// destructor (or a move-assignment over it), once no Accept can be using
+// it.
 class TcpListener {
  public:
   TcpListener() = default;
-  ~TcpListener() { Shutdown(); }
+  ~TcpListener() { Close(); }
   TcpListener(TcpListener&& other) noexcept
       : fd_(other.fd_), port_(other.port_) {
     other.fd_ = -1;
   }
   TcpListener& operator=(TcpListener&& other) noexcept {
     if (this != &other) {
-      Shutdown();
+      Close();
       fd_ = other.fd_;
       port_ = other.port_;
       other.fd_ = -1;
@@ -270,10 +272,16 @@ class TcpListener {
     return TcpStream(client);
   }
 
-  // Wakes a blocked Accept and closes the listening socket. Idempotent.
-  // shutdown() before close() so a concurrently-blocked accept returns
-  // instead of the fd being silently reused under it.
+  // Stops listening: wakes a blocked Accept, and refuses new connections.
+  // Idempotent. It only reads fd_, so it may race a concurrent Accept;
+  // the close waits for the destructor, so the fd number cannot be reused
+  // under that Accept.
   void Shutdown() {
+    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+  }
+
+ private:
+  void Close() {
     if (fd_ >= 0) {
       ::shutdown(fd_, SHUT_RDWR);
       ::close(fd_);
@@ -281,7 +289,6 @@ class TcpListener {
     }
   }
 
- private:
   int fd_ = -1;
   uint16_t port_ = 0;
 };

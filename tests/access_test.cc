@@ -100,42 +100,16 @@ TEST_F(GraphAccessTest, ResetAccountingRestoresBudgetAndCache) {
   EXPECT_TRUE(access.Neighbors(1).ok());
 }
 
-TEST(RateLimiterTest, WithinWindowIsInstant) {
-  RateLimiter limiter(RateLimitPolicy{.calls_per_window = 3,
-                                      .window_seconds = 100});
-  EXPECT_EQ(limiter.RecordQuery(), 0u);
-  EXPECT_EQ(limiter.RecordQuery(), 0u);
-  EXPECT_EQ(limiter.RecordQuery(), 0u);
-  EXPECT_EQ(limiter.queries_issued(), 3u);
-  EXPECT_EQ(limiter.elapsed_seconds(), 0u);
-}
-
-TEST(RateLimiterTest, ExhaustedWindowAdvancesClock) {
-  RateLimiter limiter(RateLimitPolicy{.calls_per_window = 2,
-                                      .window_seconds = 60});
-  limiter.RecordQuery();
-  limiter.RecordQuery();
-  EXPECT_EQ(limiter.RecordQuery(), 60u);  // third call waits one window
-  EXPECT_EQ(limiter.RecordQuery(), 60u);
-  EXPECT_EQ(limiter.RecordQuery(), 120u);
-  EXPECT_EQ(limiter.elapsed_seconds(), 120u);
-}
-
-TEST(RateLimiterTest, EstimateSecondsMatchesSimulation) {
+TEST(RateLimitPolicyTest, EstimateSecondsCountsFullWindows) {
   RateLimitPolicy policy{.calls_per_window = 15, .window_seconds = 900};
   // Twitter: 1000 queries => 66 full windows of waiting.
-  EXPECT_EQ(RateLimiter::EstimateSeconds(policy, 1000), 66u * 900u);
-  EXPECT_EQ(RateLimiter::EstimateSeconds(policy, 15), 0u);
-  EXPECT_EQ(RateLimiter::EstimateSeconds(policy, 16), 900u);
-  EXPECT_EQ(RateLimiter::EstimateSeconds(policy, 0), 0u);
-
-  RateLimiter limiter(policy);
-  uint64_t last = 0;
-  for (int i = 0; i < 1000; ++i) last = limiter.RecordQuery();
-  EXPECT_EQ(last, RateLimiter::EstimateSeconds(policy, 1000));
+  EXPECT_EQ(EstimateSeconds(policy, 1000), 66u * 900u);
+  EXPECT_EQ(EstimateSeconds(policy, 15), 0u);
+  EXPECT_EQ(EstimateSeconds(policy, 16), 900u);
+  EXPECT_EQ(EstimateSeconds(policy, 0), 0u);
 }
 
-TEST(RateLimiterTest, PresetPolicies) {
+TEST(RateLimitPolicyTest, PresetPolicies) {
   EXPECT_EQ(RateLimitPolicy::Twitter().calls_per_window, 15u);
   EXPECT_EQ(RateLimitPolicy::Yelp().calls_per_window, 25'000u);
 }
@@ -258,44 +232,22 @@ TEST_F(GraphAccessTest, DefaultBatchSharesFailureAcrossDuplicates) {
   EXPECT_EQ(results[2].status().code(), results[0].status().code());
 }
 
-TEST(RateLimiterTest, RecordQueryAcrossWindowBoundaries) {
-  RateLimitPolicy policy{.calls_per_window = 3, .window_seconds = 10};
-  RateLimiter limiter(policy);
-  // Exact timestamp sequence over three windows: 3 instant calls per
-  // window, then the clock jumps to the next boundary.
-  EXPECT_EQ(limiter.RecordQuery(), 0u);
-  EXPECT_EQ(limiter.RecordQuery(), 0u);
-  EXPECT_EQ(limiter.RecordQuery(), 0u);
-  EXPECT_EQ(limiter.RecordQuery(), 10u);  // rollover 1
-  EXPECT_EQ(limiter.RecordQuery(), 10u);
-  EXPECT_EQ(limiter.RecordQuery(), 10u);
-  EXPECT_EQ(limiter.RecordQuery(), 20u);  // rollover 2
-  EXPECT_EQ(limiter.queries_issued(), 7u);
-  EXPECT_EQ(limiter.elapsed_seconds(), 20u);
-}
-
-TEST(RateLimiterTest, EstimateSecondsTwitterPolicy) {
+TEST(RateLimitPolicyTest, EstimateSecondsTwitterPolicy) {
   RateLimitPolicy twitter = RateLimitPolicy::Twitter();
-  EXPECT_EQ(RateLimiter::EstimateSeconds(twitter, 15), 0u);
-  EXPECT_EQ(RateLimiter::EstimateSeconds(twitter, 16), 900u);
-  EXPECT_EQ(RateLimiter::EstimateSeconds(twitter, 30), 900u);
-  EXPECT_EQ(RateLimiter::EstimateSeconds(twitter, 31), 1800u);
+  EXPECT_EQ(EstimateSeconds(twitter, 15), 0u);
+  EXPECT_EQ(EstimateSeconds(twitter, 16), 900u);
+  EXPECT_EQ(EstimateSeconds(twitter, 30), 900u);
+  EXPECT_EQ(EstimateSeconds(twitter, 31), 1800u);
   // A 10k-query crawl against Twitter's window: ~one week of virtual time.
-  EXPECT_EQ(RateLimiter::EstimateSeconds(twitter, 10'000), 666u * 900u);
+  EXPECT_EQ(EstimateSeconds(twitter, 10'000), 666u * 900u);
 }
 
-TEST(RateLimiterTest, EstimateSecondsYelpPolicyMatchesSimulation) {
+TEST(RateLimitPolicyTest, EstimateSecondsYelpPolicy) {
   RateLimitPolicy yelp = RateLimitPolicy::Yelp();
-  EXPECT_EQ(RateLimiter::EstimateSeconds(yelp, 25'000), 0u);
-  EXPECT_EQ(RateLimiter::EstimateSeconds(yelp, 25'001), 86'400u);
-  EXPECT_EQ(RateLimiter::EstimateSeconds(yelp, 50'000), 86'400u);
-  EXPECT_EQ(RateLimiter::EstimateSeconds(yelp, 50'001), 2u * 86'400u);
-
-  RateLimiter limiter(yelp);
-  uint64_t last = 0;
-  for (int i = 0; i < 50'001; ++i) last = limiter.RecordQuery();
-  EXPECT_EQ(last, RateLimiter::EstimateSeconds(yelp, 50'001));
-  EXPECT_EQ(limiter.elapsed_seconds(), 2u * 86'400u);
+  EXPECT_EQ(EstimateSeconds(yelp, 25'000), 0u);
+  EXPECT_EQ(EstimateSeconds(yelp, 25'001), 86'400u);
+  EXPECT_EQ(EstimateSeconds(yelp, 50'000), 86'400u);
+  EXPECT_EQ(EstimateSeconds(yelp, 50'001), 2u * 86'400u);
 }
 
 }  // namespace

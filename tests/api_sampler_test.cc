@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "api/sampler.h"
 #include "graph/generators.h"
+#include "rpc/server.h"
 #include "util/random.h"
 
 // Unit coverage of the api/ facade itself: builder validation, the
@@ -30,6 +33,44 @@ SamplerBuilder BaseBuilder(const graph::Graph& graph) {
       .WithWalker({.type = core::WalkerType::kCnrw})
       .WithEnsemble(/*num_walkers=*/4, /*seed=*/11)
       .StopAfterSteps(80);
+}
+
+constexpr ExecutionMode kAllModes[] = {
+    ExecutionMode::kInline, ExecutionMode::kPipelined, ExecutionMode::kService,
+    ExecutionMode::kRemote};
+
+// Hosts the stack a remote-mode sampler dials.
+struct Daemon {
+  std::unique_ptr<Sampler> sampler;
+  std::unique_ptr<rpc::Server> server;
+};
+
+// Builds `builder` in `mode`. Remote mode builds it as a service-mode
+// sampler served by an in-process rpc::Server (kept alive in `daemon`),
+// and returns a sampler dialed to it with the same run defaults.
+util::Result<std::unique_ptr<Sampler>> BuildInMode(SamplerBuilder builder,
+                                                   ExecutionMode mode,
+                                                   Daemon& daemon) {
+  switch (mode) {
+    case ExecutionMode::kInline:
+      return builder.RunInline().Build();
+    case ExecutionMode::kPipelined:
+      return builder.RunPipelined({.depth = 2}).Build();
+    case ExecutionMode::kService:
+      return builder.RunAsService().Build();
+    case ExecutionMode::kRemote:
+      break;
+  }
+  HW_ASSIGN_OR_RETURN(daemon.sampler, builder.RunAsService().Build());
+  HW_ASSIGN_OR_RETURN(daemon.server,
+                      rpc::Server::Start(daemon.sampler.get(), {}));
+  const RunOptions& defaults = daemon.sampler->default_run_options();
+  return SamplerBuilder()
+      .WithRemoteService("127.0.0.1:" + std::to_string(daemon.server->port()))
+      .WithWalker(defaults.walker)
+      .WithEnsemble(defaults.num_walkers, defaults.seed)
+      .StopAfterSteps(defaults.max_steps)
+      .Build();
 }
 
 TEST(SamplerBuilderTest, RefusesMissingBackend) {
@@ -106,13 +147,11 @@ TEST(SamplerTest, FlightRecorderOnlyRecordsWhenObservabilityOptedIn) {
 
 TEST(SamplerTest, WaitThenReportReturnTheSameReport) {
   graph::Graph graph = TestGraph();
-  for (auto configure :
-       {+[](SamplerBuilder& b) { b.RunInline(); },
-        +[](SamplerBuilder& b) { b.RunPipelined({.depth = 2}); },
-        +[](SamplerBuilder& b) { b.RunAsService(); }}) {
-    SamplerBuilder builder = BaseBuilder(graph).EstimateAverageDegree();
-    configure(builder);
-    auto sampler = builder.Build();
+  for (ExecutionMode mode : kAllModes) {
+    SCOPED_TRACE(ExecutionModeName(mode));
+    Daemon daemon;
+    auto sampler =
+        BuildInMode(BaseBuilder(graph).EstimateAverageDegree(), mode, daemon);
     ASSERT_TRUE(sampler.ok()) << sampler.status();
     auto handle = (*sampler)->Run();
     ASSERT_TRUE(handle.ok()) << handle.status();
@@ -130,6 +169,16 @@ TEST(SamplerTest, WaitThenReportReturnTheSameReport) {
     auto again = handle->Wait();
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again->charged_queries, waited->charged_queries);
+    if (mode == ExecutionMode::kRemote) {
+      // Run + Wait cost one kSubmit and one kWait; the Poll, Report and
+      // second Wait above are served from the handle's cache. (The server
+      // counts a request just after queueing it, so allow it a beat.)
+      for (int i = 0; i < 2000 && daemon.server->stats().requests_total < 2;
+           ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(daemon.server->stats().requests_total, 2u);
+    }
   }
 }
 
@@ -160,12 +209,11 @@ TEST(SamplerTest, ThreadModesRunOneAtATime) {
 
 TEST(SamplerTest, CancelDiscardsTheRun) {
   graph::Graph graph = TestGraph();
-  for (auto configure : {+[](SamplerBuilder& b) { b.RunInline(); },
-                         +[](SamplerBuilder& b) { b.RunAsService(); }}) {
-    SamplerBuilder builder = BaseBuilder(graph);
-    configure(builder);
-    auto sampler = builder.Build();
-    ASSERT_TRUE(sampler.ok());
+  for (ExecutionMode mode : kAllModes) {
+    SCOPED_TRACE(ExecutionModeName(mode));
+    Daemon daemon;
+    auto sampler = BuildInMode(BaseBuilder(graph), mode, daemon);
+    ASSERT_TRUE(sampler.ok()) << sampler.status();
     auto handle = (*sampler)->Run();
     ASSERT_TRUE(handle.ok());
     handle->Cancel();
@@ -173,10 +221,18 @@ TEST(SamplerTest, CancelDiscardsTheRun) {
     auto report = handle->Wait();
     ASSERT_FALSE(report.ok());
     EXPECT_EQ(report.status().code(), util::StatusCode::kFailedPrecondition);
+    handle->Cancel();  // idempotent
+    EXPECT_EQ(handle->Report().status().code(),
+              util::StatusCode::kFailedPrecondition);
     // The sampler survives a canceled run.
     auto next = (*sampler)->Run();
     ASSERT_TRUE(next.ok()) << next.status();
     EXPECT_TRUE(next->Wait().ok());
+    // Cancel after a completed Wait still discards the cached report.
+    next->Cancel();
+    EXPECT_EQ(next->Poll(), RunState::kFailed);
+    EXPECT_EQ(next->Wait().status().code(),
+              util::StatusCode::kFailedPrecondition);
   }
 }
 

@@ -89,6 +89,22 @@ TEST(LatencyModelTest, RateLimitWindowGatesIssueTimes) {
   EXPECT_GT(model.rate_limited_us(), 0u);
 }
 
+TEST(LatencyModelTest, RateLimitGateMatchesEstimateSeconds) {
+  // With no latency the gate alone sets issue times, so the 1000th request
+  // under Twitter's 15-per-900s policy issues exactly when
+  // access::EstimateSeconds says a 1000-query crawl is done waiting.
+  const access::RateLimitPolicy policy{.calls_per_window = 15,
+                                       .window_seconds = 900};
+  LatencyModel model({.seed = 1,
+                      .base_latency_us = 0,
+                      .jitter_us = 0,
+                      .rate_limit = policy});
+  LatencyModel::Schedule last;
+  for (int i = 0; i < 1000; ++i) last = model.ScheduleRequest();
+  EXPECT_EQ(last.request_index, 999u);
+  EXPECT_EQ(last.issue_us, access::EstimateSeconds(policy, 1000) * 1'000'000);
+}
+
 TEST(LatencyModelTest, BatchSpendsOneRateLimitToken) {
   LatencyModelOptions options{.seed = 1,
                               .base_latency_us = 1'000,

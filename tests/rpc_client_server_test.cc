@@ -296,8 +296,9 @@ TEST(RpcEndToEndTest, SubmitsQueueBehindTheSessionCapAndSurfaceAsDepth) {
 // A scripted peer instead of a real daemon: completes the handshake and
 // answers Submit, swallows the first Wait (forcing the client's deadline
 // to fire), sends the swallowed Wait's reply LATE (the client must drop
-// it), then answers the retried Wait. Fully deterministic — no sleeps on
-// the server side.
+// it), then answers the retried Wait. Both Waits must address the session
+// the Submit reply named. Fully deterministic — no sleeps on the server
+// side.
 TEST(RpcDeadlineTest, WaitDeadlineIsTypedRetryableAndDropsLateReplies) {
   auto listener = util::TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok()) << listener.status();
@@ -318,14 +319,22 @@ TEST(RpcDeadlineTest, WaitDeadlineIsTypedRetryableAndDropsLateReplies) {
       frame.payload = std::move(payload);
       ASSERT_TRUE(WriteFrame(*stream, frame).ok());
     };
+    auto expect_wait_for_session_7 = [](const Frame& wait) {
+      EXPECT_EQ(wait.type, static_cast<uint16_t>(MsgType::kWait));
+      auto session = DecodeSessionId(wait.payload);
+      ASSERT_TRUE(session.ok()) << session.status();
+      EXPECT_EQ(*session, 7u);
+    };
     Frame frame;
     ASSERT_TRUE(ReadFrame(*stream, &frame).ok());  // kHello
     reply(frame.correlation_id, MsgType::kHelloOk, EncodeHello({}));
     ASSERT_TRUE(ReadFrame(*stream, &frame).ok());  // kSubmit
     reply(frame.correlation_id, MsgType::kSubmitOk, EncodeSessionId(7));
     ASSERT_TRUE(ReadFrame(*stream, &frame).ok());  // kWait #1 — swallowed
+    expect_wait_for_session_7(frame);
     const uint64_t first_wait = frame.correlation_id;
     ASSERT_TRUE(ReadFrame(*stream, &frame).ok());  // kWait #2
+    expect_wait_for_session_7(frame);
     // #2 arriving proves the client timed out #1; its late reply must be
     // dropped by the reader, not delivered to anyone.
     reply(first_wait, MsgType::kReportOk, EncodeRunReport(api::RunReport{}));
@@ -335,27 +344,28 @@ TEST(RpcDeadlineTest, WaitDeadlineIsTypedRetryableAndDropsLateReplies) {
     }
   });
 
-  ClientOptions options;
-  options.rpc_timeout_ms = 100;
-  auto client = Client::Connect("127.0.0.1", port, options);
-  ASSERT_TRUE(client.ok()) << client.status();
-  auto handle = RemoteRunHandle::Submit(*client, {.max_steps = 10});
+  auto sampler = api::SamplerBuilder()
+                     .WithRemoteService("127.0.0.1:" + std::to_string(port),
+                                        /*rpc_timeout_ms=*/100)
+                     .StopAfterSteps(10)
+                     .Build();
+  ASSERT_TRUE(sampler.ok()) << sampler.status();
+  auto handle = (*sampler)->Run();
   ASSERT_TRUE(handle.ok()) << handle.status();
-  EXPECT_EQ((*handle)->session_id(), 7u);
 
-  auto first = (*handle)->Wait();
+  auto first = handle->Wait();
   ASSERT_FALSE(first.ok());
   EXPECT_TRUE(util::IsDeadlineExceeded(first.status())) << first.status();
 
   // The expiry is not a cached outcome: Wait again and get the report.
-  auto second = (*handle)->Wait();
+  auto second = handle->Wait();
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(second->charged_queries, 42u);
   EXPECT_EQ(std::bit_cast<uint64_t>(second->estimate),
             std::bit_cast<uint64_t>(3.25));
 
-  handle->reset();
-  client->reset();  // hangs up; the peer's read loop ends
+  *handle = api::RunHandle();
+  sampler->reset();  // hangs up; the peer's read loop ends
   peer.join();
 }
 

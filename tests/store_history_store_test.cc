@@ -115,7 +115,7 @@ TEST(HistoryStoreTest, JournalsPipelineFetchesToo) {
 }
 
 TEST(HistoryStoreTest, AutoCheckpointFoldsWalIntoSnapshot) {
-  // Default mode: the fold runs on the background checkpoint thread.
+  // The fold runs on the background checkpoint thread.
   const std::string snap = TempPath("hs_ckpt.hwss");
   const std::string wal = TempPath("hs_ckpt.hwwl");
   graph::Graph graph = TestGraph();
@@ -134,9 +134,9 @@ TEST(HistoryStoreTest, AutoCheckpointFoldsWalIntoSnapshot) {
 
   HistoryStoreStats stats = (*store)->stats();
   EXPECT_GT(stats.checkpoints, 0u);
-  // Unlike the inline mode, the active WAL may overshoot the threshold by
-  // whatever lands while a fold is in flight (the no-stall trade-off); the
-  // rotation still retired every pre-rotation byte from it.
+  // Every insert that trips the threshold rotates the active WAL out, even
+  // while a fold is in flight, so it stays within one record of it.
+  EXPECT_LT(stats.wal_bytes, 2048u + 512u);
   EXPECT_FALSE(stats.fold_segment_pending);  // fold segments retired
   EXPECT_TRUE((*store)->last_error().ok());
 
@@ -148,38 +148,6 @@ TEST(HistoryStoreTest, AutoCheckpointFoldsWalIntoSnapshot) {
   ASSERT_TRUE((*reopened)->LoadInto(rebuilt).ok());
   EXPECT_EQ(rebuilt.stats().entries, group.cache().stats().entries);
   EXPECT_GT((*reopened)->stats().loaded_snapshot_entries, 0u);
-}
-
-TEST(HistoryStoreTest, InlineCheckpointStillFoldsOnTheInsertPath) {
-  // background_checkpoint = false preserves the PR-3 inline fold exactly:
-  // checkpoints are synchronous, so no WaitForIdle is needed and no fold
-  // segment ever exists.
-  const std::string snap = TempPath("hs_ckpt_inline.hwss");
-  const std::string wal = TempPath("hs_ckpt_inline.hwwl");
-  graph::Graph graph = TestGraph();
-
-  auto store = HistoryStore::Open({.snapshot_path = snap,
-                                   .wal_path = wal,
-                                   .checkpoint_wal_bytes = 2048,
-                                   .background_checkpoint = false});
-  ASSERT_TRUE(store.ok()) << store.status();
-  access::GraphAccess backend(&graph, nullptr);
-  access::SharedAccessGroup group(&backend, {});
-  group.set_history_journal(store->get());
-  CrawlOnce(graph, group, /*seed=*/5, /*steps=*/1200);
-  group.set_history_journal(nullptr);
-
-  HistoryStoreStats stats = (*store)->stats();
-  EXPECT_GT(stats.checkpoints, 0u);
-  EXPECT_LT(stats.wal_bytes, 2048u + 512u);
-  EXPECT_FALSE(stats.fold_segment_pending);
-
-  access::HistoryCache rebuilt({.num_shards = 8});
-  auto reopened = HistoryStore::Open(
-      {.snapshot_path = snap, .wal_path = wal, .checkpoint_wal_bytes = 0});
-  ASSERT_TRUE(reopened.ok());
-  ASSERT_TRUE((*reopened)->LoadInto(rebuilt).ok());
-  EXPECT_EQ(rebuilt.stats().entries, group.cache().stats().entries);
 }
 
 TEST(HistoryStoreTest, InterruptedBackgroundFoldRecoversFromFoldSegment) {
@@ -490,8 +458,7 @@ TEST(HistoryStoreTest, RotationStormUnderBackgroundFoldsIsLossFree) {
   {
     auto store = HistoryStore::Open({.snapshot_path = snap,
                                      .wal_path = wal,
-                                     .checkpoint_wal_bytes = 512,
-                                     .background_checkpoint = true});
+                                     .checkpoint_wal_bytes = 512});
     ASSERT_TRUE(store.ok()) << store.status();
     access::HistoryCache cache({.num_shards = 8});
     util::ParallelFor(
