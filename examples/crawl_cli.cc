@@ -9,8 +9,8 @@
 //     --walker=W         srw | mhrw | nbsrw | cnrw | cnrw-node | nbcnrw |
 //                        gnrw (default cnrw; gnrw uses an 8-way degree
 //                        grouping)                 -> WithWalker
-//     --budget=N         shared fetch budget (default 1000)
-//                                                  -> WithGroupQueryBudget
+//     --budget=N         the run's fetch budget (default 1000)
+//                                                  -> tenant_query_budget
 //     --seed=N           RNG seed (default 1)      -> WithEnsemble
 //     --latency-us=N     simulate a remote service: base per-request wire
 //                        latency in microseconds (default 0 = in-memory,
@@ -31,8 +31,8 @@
 //                        any value — scripts/trace_demo.sh pins it.
 //     --connect=HOST:PORT  run the crawl on a histwalk_serviced daemon
 //                        instead of in-process: the walk, cache and
-//                        estimand live daemon-side, --budget becomes the
-//                        session's tenant query budget, and the printed
+//                        estimand live daemon-side, --budget is the
+//                        daemon session's fetch budget, and the printed
 //                        trace digest matches an in-process service run
 //                        at the same seed (the wire protocol round-trips
 //                        traces bit-identically). Graph/wire/cache/
@@ -152,8 +152,8 @@ std::string TraceDigest(const estimate::TracedWalk& trace) {
 
 // The remote arm of the CLI: same walk, same printed digest lines, but the
 // whole stack lives in a histwalk_serviced daemon — this process holds a
-// connection and a run handle. The daemon bills the session its tenant
-// query budget exactly like the in-process group budget, so a cold daemon
+// connection and a run handle. The daemon cuts the session at its
+// tenant_query_budget exactly like an in-process run, so a cold daemon
 // produces the identical trace (and digest) to a cold local crawl.
 int CrawlRemote(const std::string& endpoint, core::WalkerType type,
                 uint64_t budget, uint64_t seed, const ObsFlags& obs_flags) {
@@ -240,10 +240,10 @@ int Crawl(const graph::Graph& graph, core::WalkerType type, uint64_t budget,
     cache.profile_locks = true;
   }
 
-  // The whole stack, declaratively: one flag = one builder option.
+  // The whole stack, declaratively: one flag = one builder option (or,
+  // for --budget, one run option).
   api::SamplerBuilder builder;
   builder.OverGraph(&graph)
-      .WithGroupQueryBudget(budget)
       .WithCache(cache)
       .WithWalker({.type = type, .grouping = grouping.get()})
       .WithEnsemble(/*num_walkers=*/1, seed)
@@ -318,7 +318,9 @@ int Crawl(const graph::Graph& graph, core::WalkerType type, uint64_t budget,
               << "\n";
   }
 
-  auto handle = (*sampler)->Run();
+  api::RunOptions options = (*sampler)->default_run_options();
+  options.tenant_query_budget = budget;
+  auto handle = (*sampler)->Run(options);
   if (handle.ok() && obs_flags.tracking()) {
     // Live progress goes to STDERR: stdout stays byte-identical across
     // polling cadences (the demo scripts diff it), while an interactive

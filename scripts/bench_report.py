@@ -24,6 +24,11 @@ Usage:
 --smoke drops min_time/repetitions to CI-friendly values; the numbers are
 noise, but the parse + schema path is fully exercised.
 
+Each file's "hardware" block records histwalk's provenance next to
+libbenchmark's library_build_type: CMAKE_BUILD_TYPE and CMAKE_CXX_FLAGS
+from --build-dir's CMakeCache.txt, and the checkout's git sha ("-dirty"
+when tracked files have uncommitted changes).
+
 --scrape FILE ingests a crawl_cli --metrics-out Prometheus scrape and
 attaches its cache-tier hit-rate and wire-request-attribution summary to
 BENCH_cache.json (and validates the scrape's required metrics + the
@@ -157,7 +162,35 @@ def speedups(rows):
     return ratios
 
 
-def hardware_context(doc):
+def cmake_cache_value(build_dir, key):
+    """One entry of build_dir/CMakeCache.txt ("KEY:TYPE=value"), or None."""
+    try:
+        lines = (Path(build_dir) / "CMakeCache.txt").read_text().splitlines()
+    except OSError:
+        return None
+    for line in lines:
+        name, sep, value = line.partition("=")
+        if sep and name.split(":", 1)[0] == key:
+            return value
+    return None
+
+
+def git_sha():
+    """HEAD of the checkout this script lives in, "-dirty" when the tree
+    has uncommitted changes; None outside a git checkout."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                             capture_output=True, text=True, check=True)
+        dirty = subprocess.run(["git", "status", "--porcelain",
+                                "--untracked-files=no"], cwd=root,
+                               capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return sha.stdout.strip() + ("-dirty" if dirty.stdout.strip() else "")
+
+
+def hardware_context(doc, build_dir):
     ctx = doc.get("context", {})
     if ctx.get("num_cpus") is None:
         # The PR-6 single-core caveat hangs off this field; a bench run
@@ -167,7 +200,13 @@ def hardware_context(doc):
         "num_cpus": ctx.get("num_cpus"),
         "mhz_per_cpu": ctx.get("mhz_per_cpu"),
         "cpu_scaling_enabled": ctx.get("cpu_scaling_enabled"),
+        # libbenchmark's own build type, not histwalk's; histwalk's build
+        # type, flags and revision follow.
         "library_build_type": ctx.get("library_build_type"),
+        "histwalk_build_type": cmake_cache_value(build_dir,
+                                                 "CMAKE_BUILD_TYPE"),
+        "histwalk_cxx_flags": cmake_cache_value(build_dir, "CMAKE_CXX_FLAGS"),
+        "histwalk_git_sha": git_sha(),
         "host": platform.machine(),
     }
 
@@ -630,7 +669,7 @@ def main():
                 "statistic": "median" if args.repetitions > 1 else "single",
                 "smoke": args.smoke,
             },
-            "hardware": hardware_context(doc),
+            "hardware": hardware_context(doc, build),
             "benchmarks": rows,
         }
         ratios = speedups(rows)

@@ -1,6 +1,6 @@
 #include "api/sampler.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -78,7 +78,6 @@ struct RunHandle::Shared {
     // before the handle escapes, immutable afterwards.
     std::shared_ptr<obs::ProgressTracker> progress;
   };
-  class ThreadRun;
   class ServiceRun;
   class RemoteRun;
 
@@ -126,37 +125,20 @@ struct RunHandle::Shared {
   std::optional<util::Result<RunReport>> outcome;
 };
 
-// Thread modes: a worker thread runs the walk and publishes its outcome;
-// retrieval joins the worker.
-class RunHandle::Shared::ThreadRun final : public Source {
- public:
-  RunState Poll() override { return state_.load(std::memory_order_acquire); }
-  util::Result<RunReport> Wait(bool* /*final*/) override {
-    if (worker.joinable()) worker.join();
-    return std::move(outcome_);
-  }
-  // Called once, by the worker, as its last act.
-  void Publish(util::Result<RunReport> outcome) {
-    const RunState state = outcome.ok() ? RunState::kDone : RunState::kFailed;
-    outcome_ = std::move(outcome);
-    state_.store(state, std::memory_order_release);
-  }
-
-  std::thread worker;
-
- private:
-  util::Result<RunReport> outcome_ =
-      util::Status::Unavailable("run still in flight");
-  std::atomic<RunState> state_{RunState::kRunning};
-};
-
-// Service mode: a SamplingService session. Retrieval waits the session
-// out, finishes its report and detaches it, freeing its admission slot.
+// Every in-process mode: a SamplingService session. Retrieval waits the
+// session out, finishes its report and detaches it, freeing its admission
+// slot.
 class RunHandle::Shared::ServiceRun final : public Source {
  public:
   ServiceRun(Sampler* sampler, service::SessionId session,
              core::WalkerSpec spec)
       : sampler_(sampler), session_(session), spec_(std::move(spec)) {}
+  // The last handle went away: a session nobody retrieved must still free
+  // its slot. After a retrieval both calls just answer kNotFound.
+  ~ServiceRun() override {
+    (void)sampler_->service()->Wait(session_);
+    (void)sampler_->service()->Detach(session_);
+  }
 
   RunState Poll() override {
     auto polled = sampler_->service()->Poll(session_);
@@ -175,6 +157,7 @@ class RunHandle::Shared::ServiceRun final : public Source {
       report.ensemble = std::move(session->ensemble);
       report.charged_queries = session->charged_queries;
       report.tenant = session->pipeline;
+      report.ensemble.pipeline_stats = PipelineStats(session->pipeline);
       report.latency_us = session->LatencyUs();
       report.flight = std::move(session->flight);
       status = sampler_->FinishReport(spec_, progress.get(), &report);
@@ -185,6 +168,21 @@ class RunHandle::Shared::ServiceRun final : public Source {
   }
 
  private:
+  // The run's share of the pipeline in the aggregate's shape.
+  static net::RequestPipelineStats PipelineStats(
+      const net::TenantPipelineStats& tenant) {
+    net::RequestPipelineStats stats;
+    stats.submitted = tenant.submitted;
+    stats.dedup_joins = tenant.dedup_joins;
+    stats.late_hits = tenant.late_hits;
+    stats.wire_requests = tenant.wire_requests;
+    stats.wire_items = tenant.wire_items;
+    stats.budget_refusals = tenant.budget_refusals;
+    stats.queue_depth = tenant.queue_depth;
+    stats.max_queue_depth = tenant.max_queue_depth;
+    return stats;
+  }
+
   Sampler* sampler_;
   service::SessionId session_;
   core::WalkerSpec spec_;  // for estimand bias probing at report time
@@ -242,8 +240,8 @@ obs::Sample MakeSample(const char* name, obs::SampleKind kind,
 }
 
 // The hw_est_* convergence gauges for one progress snapshot; `labels`
-// distinguishes service sessions (session="<id>") and is empty in thread
-// modes.
+// distinguishes concurrent sessions (session="<id>") and is empty when the
+// sampler admits one run at a time.
 void AppendEstimateSamples(std::vector<obs::Sample>& out,
                            const obs::ProgressSnapshot& snap,
                            const std::string& labels) {
@@ -410,11 +408,6 @@ SamplerBuilder& SamplerBuilder::WithCache(access::HistoryCacheOptions cache) {
   return *this;
 }
 
-SamplerBuilder& SamplerBuilder::WithGroupQueryBudget(uint64_t query_budget) {
-  group_query_budget_ = query_budget;
-  return *this;
-}
-
 SamplerBuilder& SamplerBuilder::WithHistoryStore(
     store::HistoryStoreOptions options) {
   has_owned_store_ = true;
@@ -443,20 +436,29 @@ SamplerBuilder& SamplerBuilder::WithTelemetryServer(uint16_t port) {
 
 SamplerBuilder& SamplerBuilder::RunInline(unsigned num_threads) {
   mode_ = ExecutionMode::kInline;
-  inline_threads_ = num_threads;
+  service_ = {.max_sessions = 1,
+              .pipeline = {.depth = 0},
+              .num_threads = num_threads};
   return *this;
 }
 
 SamplerBuilder& SamplerBuilder::RunPipelined(
     net::RequestPipelineOptions pipeline) {
   mode_ = ExecutionMode::kPipelined;
-  pipeline_ = pipeline;
+  service_ = {.max_sessions = 1, .pipeline = pipeline};
+  // A pipeline clamps depth to >= 1; to the service 0 means no pipeline.
+  service_.pipeline.depth = std::max(pipeline.depth, 1u);
   return *this;
 }
 
 SamplerBuilder& SamplerBuilder::RunAsService(ServiceConfig service) {
   mode_ = ExecutionMode::kService;
-  service_ = std::move(service);
+  service_ = {.max_sessions = service.max_sessions,
+              .admission_wait_us = service.admission_wait_us,
+              .max_history_bytes = service.max_history_bytes,
+              .share_history = service.share_history,
+              .pipeline = service.pipeline};
+  service_.pipeline.depth = std::max(service.pipeline.depth, 1u);
   return *this;
 }
 
@@ -523,11 +525,10 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
           "WithRemoteService samples the daemon's backend; drop "
           "OverGraph/OverBackend");
     }
-    if (has_wire_ || has_owned_store_ || external_store_ != nullptr ||
-        group_query_budget_ != 0) {
+    if (has_wire_ || has_owned_store_ || external_store_ != nullptr) {
       return util::Status::InvalidArgument(
-          "wire/store/budget options are daemon-side configuration; a "
-          "remote sampler holds only the connection");
+          "wire/store options are daemon-side configuration; a remote "
+          "sampler holds only the connection");
     }
     if (has_obs_ || has_telemetry_) {
       return util::Status::InvalidArgument(
@@ -563,11 +564,6 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
     return util::Status::InvalidArgument(
         "EstimateAttributeMean requires OverGraph(graph, attributes)");
   }
-  if (mode_ == ExecutionMode::kService && group_query_budget_ != 0) {
-    return util::Status::InvalidArgument(
-        "WithGroupQueryBudget applies to inline/pipelined modes; service "
-        "runs budget per tenant via RunOptions::tenant_query_budget");
-  }
   if (!(confidence_ > 0.0 && confidence_ < 1.0)) {
     return util::Status::InvalidArgument(
         "WithConfidenceLevel requires a confidence in (0, 1)");
@@ -584,8 +580,6 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
 
   std::unique_ptr<Sampler> sampler(new Sampler());
   sampler->mode_ = mode_;
-  sampler->inline_threads_ = inline_threads_;
-  sampler->pipeline_ = pipeline_;
   sampler->defaults_ = defaults_;
   sampler->estimand_ = estimand_;
   sampler->confidence_ = confidence_;
@@ -600,11 +594,7 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
   }
   if (has_wire_) {
     net::LatencyModelOptions latency = latency_;
-    const uint32_t depth = mode_ == ExecutionMode::kPipelined
-                               ? pipeline_.depth
-                           : mode_ == ExecutionMode::kService
-                               ? service_.pipeline.depth
-                               : 1;
+    const uint32_t depth = std::max(service_.pipeline.depth, 1u);
     // The wire should carry what the pipeline keeps in flight.
     if (latency.max_in_flight < depth) latency.max_in_flight = depth;
     sampler->remote_ = std::make_unique<net::RemoteBackend>(inner, latency);
@@ -632,7 +622,7 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
   // how has_obs_ gates collector registration below.
   const uint32_t flight_capacity = has_obs_ ? obs_.flight_recorder_capacity : 0;
 
-  // Observability seams wire before the group/service/pipeline exist so
+  // Observability seams wire before the service and its pipeline exist so
   // trace tracks register in a deterministic order: "wire", "store",
   // "pipeline" (at pipeline construction), then "walker i" at run start.
   if (obs_.tracer != nullptr) {
@@ -646,57 +636,26 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
     }
     if (sampler->remote_ != nullptr) sampler->remote_->set_tracer(obs_.tracer);
     if (sampler->store_ != nullptr) sampler->store_->set_tracer(obs_.tracer);
-    if (sampler->pipeline_.tracer == nullptr) {
-      sampler->pipeline_.tracer = obs_.tracer;
-    }
   }
 
-  if (mode_ == ExecutionMode::kService) {
-    service::ServiceOptions options;
-    options.max_sessions = service_.max_sessions;
-    options.admission_wait_us = service_.admission_wait_us;
-    options.max_history_bytes = service_.max_history_bytes;
-    options.share_history = service_.share_history;
-    options.cache = cache_;
-    options.pipeline = service_.pipeline;
-    options.store = sampler->store_;
-    options.registry = obs_.registry;
-    options.tracer = obs_.tracer;
-    options.flight_recorder_capacity = flight_capacity;
-    if (sampler->remote_ != nullptr) {
-      options.clock = [remote = sampler->remote_.get()] {
-        return remote->sim_now_us();
-      };
-    }
-    sampler->service_ = std::make_unique<service::SamplingService>(
-        sampler->backend_, std::move(options));
-    sampler->warm_start_status_ = sampler->service_->warm_start_status();
-  } else {
-    sampler->group_ = std::make_unique<access::SharedAccessGroup>(
-        sampler->backend_, access::SharedAccessOptions{
-                               .query_budget = group_query_budget_,
-                               .cache = cache_,
-                               .registry = obs_.registry});
-    if (sampler->store_ != nullptr) {
-      // Like the service: a broken history file falls back to a cold (or
-      // partially restored) cache, recorded rather than fatal — recovery
-      // policy stays the caller's call via warm_start_status().
-      sampler->warm_start_status_ =
-          sampler->store_->LoadInto(sampler->group_->cache());
-      sampler->group_->set_history_journal(sampler->store_);
-    }
-    if (flight_capacity > 0) {
-      std::function<uint64_t()> clock;
-      if (sampler->remote_ != nullptr) {
-        clock = [remote = sampler->remote_.get()] {
-          return remote->sim_now_us();
-        };
-      }
-      sampler->flight_ = std::make_unique<obs::FlightRecorder>(
-          flight_capacity, std::move(clock));
-      sampler->group_->set_flight_recorder(sampler->flight_.get());
-    }
+  // Every in-process mode is this one service; the mode chose its sizing.
+  service::ServiceOptions options = service_;
+  options.cache = cache_;
+  options.store = sampler->store_;
+  options.registry = obs_.registry;
+  options.tracer = obs_.tracer;
+  options.flight_recorder_capacity = flight_capacity;
+  if (sampler->remote_ != nullptr) {
+    options.clock = [remote = sampler->remote_.get()] {
+      return remote->sim_now_us();
+    };
   }
+  sampler->service_ = std::make_unique<service::SamplingService>(
+      sampler->backend_, std::move(options));
+  // A broken history file falls back to a cold (or partially restored)
+  // cache, recorded rather than fatal — recovery policy stays the
+  // caller's call via warm_start_status().
+  sampler->warm_start_status_ = sampler->service_->warm_start_status();
 
   if (has_obs_) {
     // One pull collector covers every layer the sampler owns; registered
@@ -724,14 +683,6 @@ util::Result<std::unique_ptr<Sampler>> SamplerBuilder::Build() const {
 // ---- Sampler ----------------------------------------------------------
 
 Sampler::~Sampler() {
-  std::shared_ptr<RunHandle::Shared> active;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    active = std::move(active_);
-  }
-  // The thread modes' last run: wait it out and join its worker, unless a
-  // Wait already did.
-  if (active != nullptr) (void)active->Retrieve(/*block=*/true);
   // Stop serving before anything the serving thread reads (the registry
   // collector, RunsJson's session map) is torn down.
   telemetry_.reset();
@@ -742,8 +693,6 @@ Sampler::~Sampler() {
   // Unregister the scrape collectors before the layers they read go away
   // (a concurrent Scrape() must never observe a half-destroyed sampler).
   collectors_.clear();
-  // Detach the journal before the store (possibly owned) is destroyed.
-  if (group_ != nullptr) group_->set_history_journal(nullptr);
   // service_ (if any) joins its sessions in its own destructor, which runs
   // before the store/remote/backend members it fetches through.
 }
@@ -762,86 +711,7 @@ util::Result<RunHandle> Sampler::Run(const RunOptions& options) {
         "adaptive stopping (stop_at_ci_half_width) requires an estimand "
         "(EstimateAverageDegree / EstimateAttributeMean)");
   }
-  if (mode_ == ExecutionMode::kService) return RunService(options);
-  return RunThreaded(options);
-}
-
-util::Result<RunHandle> Sampler::RunThreaded(const RunOptions& options) {
-  if (options.tenant_query_budget != 0) {
-    return util::Status::InvalidArgument(
-        "tenant_query_budget is a service-mode option; use "
-        "WithGroupQueryBudget for inline/pipelined samplers");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (active_ != nullptr) {
-    if (active_->source->Poll() == RunState::kRunning) {
-      return util::Status::FailedPrecondition(
-          "a run is already in flight; Wait() it first (inline/pipelined "
-          "samplers execute one run at a time)");
-    }
-    // Finished but never waited: reap the worker before replacing it.
-    (void)active_->Retrieve(/*block=*/true);
-  }
-  auto source = std::make_unique<RunHandle::Shared::ThreadRun>();
-  RunHandle::Shared::ThreadRun* run = source.get();
-  // The tracker is built on this (serial) path so its tracer counter
-  // track registers deterministically, and wired to the group's charge
-  // counter windowed at run start — matching report.charged_queries.
-  if (options.progress_interval > 0 || options.stop_at_ci_half_width > 0.0) {
-    HW_ASSIGN_OR_RETURN(run->progress,
-                        MakeProgressTracker(options, /*for_replay=*/false));
-    std::function<uint64_t()> clock_fn;
-    if (remote_ != nullptr) {
-      clock_fn = [remote = remote_.get()] { return remote->sim_now_us(); };
-    }
-    run->progress->AttachCallbacks(
-        [group = group_.get(), before = group_->charged_queries()] {
-          const uint64_t now = group->charged_queries();
-          return now > before ? now - before : 0;
-        },
-        std::move(clock_fn));
-  }
-  live_runs_[0] = run->progress;
-  // The worker reaches its run through a plain pointer: active_ keeps the
-  // session alive until the worker is joined.
-  run->worker = std::thread([this, run, options] {
-    obs::ProgressTracker* progress = run->progress.get();
-    estimate::EnsembleOptions ensemble{.num_walkers = options.num_walkers,
-                                       .seed = options.seed,
-                                       .max_steps = options.max_steps,
-                                       .query_budget = options.query_budget,
-                                       .num_threads = inline_threads_,
-                                       .tracer = obs_.tracer,
-                                       .progress = progress};
-    // Pipelined mode: misses route through a per-run pipeline, attached
-    // for exactly this run and constructed first so its trace track
-    // registers before the walkers' tracks.
-    std::optional<net::RequestPipeline> pipeline;
-    if (mode_ == ExecutionMode::kPipelined) {
-      pipeline.emplace(group_.get(), pipeline_);
-      group_->set_async_fetcher(&*pipeline);
-    }
-    auto ran = estimate::RunEnsemble(*group_, options.walker, ensemble);
-    if (pipeline.has_value()) {
-      group_->set_async_fetcher(nullptr);
-      if (ran.ok()) ran->pipeline_stats = pipeline->stats();
-      pipeline.reset();
-    }
-    // Freeze the tracker's bill/clock at run end: the handle (and later
-    // scrapes) keep reading the tracker, but this run's accounting is
-    // closed.
-    if (progress != nullptr) progress->DetachCallbacks();
-    if (!ran.ok()) return run->Publish(ran.status());
-    RunReport report;
-    report.ensemble = *std::move(ran);
-    report.charged_queries = report.ensemble.charged_queries;
-    if (flight_ != nullptr) report.flight = flight_->TakeLog();
-    util::Status status = FinishReport(options.walker, progress, &report);
-    if (!status.ok()) return run->Publish(std::move(status));
-    run->Publish(std::move(report));
-  });
-  active_ = std::make_shared<RunHandle::Shared>(std::move(source));
-  return RunHandle(active_);
+  return RunService(options);
 }
 
 util::Result<RunHandle> Sampler::RunService(const RunOptions& options) {
@@ -865,11 +735,17 @@ util::Result<RunHandle> Sampler::RunService(const RunOptions& options) {
   auto run = std::make_unique<RunHandle::Shared::ServiceRun>(this, id,
                                                              options.walker);
   run->progress = progress;
-  if (progress != nullptr) {
-    // Scrapes label this session's hw_est_* gauges; the weak_ptr expires
-    // with the last handle and is pruned at scrape time.
+  {
+    // Scrapes show this run's hw_est_* gauges, labelled by session unless
+    // runs cannot overlap; the weak_ptr expires with the last reference
+    // and is pruned at scrape time.
     std::lock_guard<std::mutex> lock(mu_);
-    live_runs_[id] = progress;
+    if (service_->options().max_sessions == 1) {
+      latest_run_ = progress;
+      live_runs_[0] = progress;
+    } else {
+      live_runs_[id] = progress;
+    }
   }
   return RunHandle(std::make_shared<RunHandle::Shared>(std::move(run)));
 }
@@ -885,21 +761,9 @@ util::Status Sampler::SaveHistory() {
     return util::Status::FailedPrecondition(
         "no history store configured (WithHistoryStore)");
   }
-  if (mode_ != ExecutionMode::kService) {
-    // A mid-run snapshot of a thread-mode group would capture an arbitrary
-    // point of one run; make the caller pick the save point via Wait().
-    // (Service mode checkpoints its long-lived shared cache while sessions
-    // run — that IS its save-point semantics.)
-    std::lock_guard<std::mutex> lock(mu_);
-    if (active_ != nullptr && active_->source->Poll() == RunState::kRunning) {
-      return util::Status::FailedPrecondition(
-          "a run is in flight; Wait() it before SaveHistory()");
-    }
-  }
-  const access::HistoryCache& cache = mode_ == ExecutionMode::kService
-                                          ? service_->shared_cache()
-                                          : group_->cache();
-  return store_->Checkpoint(cache);
+  // The long-lived shared cache is checkpointed while sessions run; that
+  // is its save-point semantics.
+  return store_->Checkpoint(service_->shared_cache());
 }
 
 uint64_t Sampler::sim_now_us() const {
@@ -960,9 +824,7 @@ Sampler::MakeProgressTracker(const RunOptions& options, bool for_replay) {
 
 void Sampler::CollectSamples(std::vector<obs::Sample>& out) const {
   using obs::SampleKind;
-  const bool service_mode = mode_ == ExecutionMode::kService;
-  const access::HistoryCache& cache =
-      service_mode ? service_->shared_cache() : group_->cache();
+  const access::HistoryCache& cache = service_->shared_cache();
   AppendCacheSamples(out, cache.stats());
   AppendShardHeatSamples(out, cache);
   if (remote_ != nullptr) {
@@ -993,22 +855,24 @@ void Sampler::CollectSamples(std::vector<obs::Sample>& out) const {
     out.push_back(MakeSample("hw_store_fold_segments_queued",
                              SampleKind::kGauge, store.fold_segments_queued));
   }
-  if (service_mode) {
-    const service::ServiceStats stats = service_->stats();
-    out.push_back(MakeSample("hw_access_charged_queries_total",
-                             SampleKind::kCounter, stats.charged_queries));
-    out.push_back(MakeSample("hw_service_sessions_submitted_total",
-                             SampleKind::kCounter, stats.submitted));
-    out.push_back(MakeSample("hw_service_admission_refusals_total",
-                             SampleKind::kCounter, stats.admission_refusals));
-    out.push_back(MakeSample("hw_service_sessions_completed_total",
-                             SampleKind::kCounter, stats.completed));
-    out.push_back(MakeSample("hw_service_sessions_failed_total",
-                             SampleKind::kCounter, stats.failed));
-    out.push_back(MakeSample("hw_service_sessions_detached_total",
-                             SampleKind::kCounter, stats.detached));
-    out.push_back(MakeSample("hw_service_resident_sessions",
-                             SampleKind::kGauge, stats.resident_sessions));
+  // Counter, not a pushed instrument: RefundCharge can rewind a group's
+  // charge, and registry counters are monotone.
+  const service::ServiceStats stats = service_->stats();
+  out.push_back(MakeSample("hw_access_charged_queries_total",
+                           SampleKind::kCounter, stats.charged_queries));
+  out.push_back(MakeSample("hw_service_sessions_submitted_total",
+                           SampleKind::kCounter, stats.submitted));
+  out.push_back(MakeSample("hw_service_admission_refusals_total",
+                           SampleKind::kCounter, stats.admission_refusals));
+  out.push_back(MakeSample("hw_service_sessions_completed_total",
+                           SampleKind::kCounter, stats.completed));
+  out.push_back(MakeSample("hw_service_sessions_failed_total",
+                           SampleKind::kCounter, stats.failed));
+  out.push_back(MakeSample("hw_service_sessions_detached_total",
+                           SampleKind::kCounter, stats.detached));
+  out.push_back(MakeSample("hw_service_resident_sessions",
+                           SampleKind::kGauge, stats.resident_sessions));
+  if (service_->has_pipeline()) {
     const net::RequestPipelineStats pipeline = stats.pipeline;
     out.push_back(MakeSample("hw_net_pipeline_submitted_total",
                              SampleKind::kCounter, pipeline.submitted));
@@ -1031,16 +895,9 @@ void Sampler::CollectSamples(std::vector<obs::Sample>& out) const {
     depth.kind = SampleKind::kHistogram;
     depth.hist = pipeline.depth;
     out.push_back(std::move(depth));
-  } else {
-    // Counter, not a pushed instrument: RefundCharge can rewind the
-    // group's charge, and registry counters are monotone.
-    out.push_back(MakeSample("hw_access_charged_queries_total",
-                             SampleKind::kCounter,
-                             group_->charged_queries()));
   }
-  // hw_est_* convergence gauges: the thread modes' current (or most
-  // recent) run unlabelled, each live service session labelled.
-  // Snapshot() never blocks walkers.
+  // hw_est_* convergence gauges of the live runs, labelled by session when
+  // runs can overlap. Snapshot() never blocks walkers.
   ForEachLiveRun([&](uint64_t session, const obs::ProgressSnapshot& snap) {
     AppendEstimateSamples(
         out, snap,

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "access/graph_access.h"
@@ -75,17 +74,19 @@ namespace histwalk::api {
 
 // How runs execute. All modes go through the same walkers and produce the
 // same traces; they differ in who resolves cache misses and how many runs
-// can be in flight.
+// can be in flight. Every in-process mode is one service::SamplingService
+// whose Run() is a session over the sampler's shared cache; the mode only
+// chooses the service's options.
 enum class ExecutionMode {
-  // RunEnsemble: each walker's own thread fetches misses synchronously.
+  // One resident session, no pipeline: each walker's own thread fetches
+  // its misses synchronously (singleflight within the run).
   kInline,
-  // RunEnsemble with a per-run net::RequestPipeline attached to the group:
-  // misses are batched, singleflight-deduplicated and depth-bounded in
-  // flight.
+  // One resident session over a service pipeline: misses are batched,
+  // singleflight-deduplicated and depth-bounded in flight.
   kPipelined,
-  // service::SamplingService: each Run() is a tenant session over one
-  // shared cache and one fair-scheduled multi-tenant pipeline; runs may
-  // overlap and are billed per tenant.
+  // Up to ServiceConfig::max_sessions resident sessions, each a tenant of
+  // one fair-scheduled multi-tenant pipeline; runs may overlap and are
+  // billed per tenant.
   kService,
   // A histwalk_serviced daemon reached over the wire protocol (rpc/): each
   // Run() is a remote session on the daemon's service-mode sampler. The
@@ -135,10 +136,9 @@ struct ObservabilityOptions {
   // has no clock yet, and registers the wire/store/pipeline tracks in a
   // deterministic order.
   obs::Tracer* tracer = nullptr;
-  // Per-run (thread modes) / per-session (service mode) flight-recorder
-  // ring size; 0 disables. Surfaced as RunReport::flight. Like every
-  // observability seam, takes effect only via WithObservability — a
-  // builder that never opts in records nothing.
+  // Per-run flight-recorder ring size; 0 disables. Surfaced as
+  // RunReport::flight. Like every observability seam, takes effect only
+  // via WithObservability — a builder that never opts in records nothing.
   uint32_t flight_recorder_capacity = 128;
   // Wall-clock profiler whose hw_prof_* site samples ride this sampler's
   // scrape collector (typically &obs::Profiler::Global(), which is where
@@ -160,10 +160,13 @@ struct RunOptions {
   // least one must be set.
   uint64_t max_steps = 0;
   uint64_t query_budget = 0;
-  // Service mode only: hard per-tenant fetch quota (0 = unlimited) and
-  // fair-scheduler weight. Rejected as kInvalidArgument in other modes
-  // (where the group-level budget is a Build-time option instead).
+  // Hard fetch quota of this run's group (0 = unlimited), in every mode:
+  // the run is cut with kBudgetExhausted once it has been billed this
+  // many backend fetches. Not deterministic across walkers (which one
+  // loses the race for the last unit depends on scheduling); see
+  // query_budget for a reproducible cut.
   uint64_t tenant_query_budget = 0;
+  // Fair-scheduler weight on a shared pipeline (service mode).
   uint32_t weight = 1;
   // Streaming telemetry: own-steps between each walker's progress
   // publications (0 = no live tracking; builder seam: TrackProgress).
@@ -188,22 +191,20 @@ struct RunReport {
   // Traces, per-walker QueryStats, merged samples, cache stats — the
   // estimate layer's result, identical across execution modes.
   estimate::EnsembleResult ensemble;
-  // Backend fetches billed to this run (group charge window in inline/
-  // pipelined mode, the tenant's bill in service mode).
+  // Backend fetches billed to this run: its session group's bill (remote:
+  // the daemon session's).
   uint64_t charged_queries = 0;
-  // Service mode: this tenant's wire traffic and queue waits on the shared
-  // pipeline (zeros otherwise; pipelined mode reports its per-run pipeline
-  // in ensemble.pipeline_stats).
+  // This run's wire traffic and queue waits on the pipeline (zeros in
+  // inline mode). ensemble.pipeline_stats carries the same counts.
   net::TenantPipelineStats tenant;
   // Simulated wire clock after the run (0 without WithRemoteWire).
   uint64_t sim_wall_us = 0;
-  // Service mode: submit-to-done session latency on the service clock.
+  // Submit-to-done session latency on the service clock: the simulated
+  // wire clock with WithRemoteWire, else the steady clock.
   uint64_t latency_us = 0;
   // The tail of this run's miss-path resolutions (wire fetch /
-  // singleflight join / refusal / error), bounded by
-  // ObservabilityOptions::flight_recorder_capacity. In thread modes the
-  // recorder is sampler-lived, so the log accumulates across successive
-  // runs on one Sampler; service mode records per session.
+  // singleflight join / refusal / error) on the service clock, bounded by
+  // ObservabilityOptions::flight_recorder_capacity. Recorded per run.
   obs::FlightLog flight;
   // Filled when the builder selected an estimand.
   bool has_estimate = false;
@@ -242,9 +243,10 @@ class Sampler;
 // Every execution mode shares one session policy: one retrieval (Wait,
 // Report or Cancel) runs at a time, its outcome (report or error) is
 // cached for every later caller, and Cancel pins the cancellation error in
-// its place. A mode supplies only the run: a worker thread (inline,
-// pipelined), a SamplingService session (service) or the run-session RPCs
-// on the daemon connection (remote).
+// its place. A mode supplies only the run: a SamplingService session (every
+// in-process mode) or the run-session RPCs on the daemon connection
+// (remote). Dropping the last copy of an in-process handle nobody
+// retrieved waits its run out and frees its admission slot.
 class RunHandle {
  public:
   // An empty handle: !valid(); Wait/Report fail with FailedPrecondition,
@@ -260,7 +262,7 @@ class RunHandle {
 
   // Blocks until the run finishes, then returns its report (kDone) or the
   // error that ended it. Concurrent callers queue behind the one
-  // retrieval and share its cached outcome. In service mode that
+  // retrieval and share its cached outcome. For an in-process run that
   // retrieval also detaches the session, freeing its admission slot. A
   // remote kDeadlineExceeded (the walk outran rpc_timeout_ms) is returned
   // but not cached: Wait again to keep waiting.
@@ -281,9 +283,9 @@ class RunHandle {
 
   // Abandons the run and discards its report. Walkers have no preemption
   // seam, so this is cooperative: Cancel blocks until the in-flight walk
-  // finishes (a remote run is sent kCancel), then frees the session slot /
-  // joins the worker. After Cancel, Poll reports kFailed and Wait/Report
-  // return kFailedPrecondition("run was canceled"). Idempotent.
+  // finishes (a remote run is sent kCancel), then frees the session slot.
+  // After Cancel, Poll reports kFailed and Wait/Report return
+  // kFailedPrecondition("run was canceled"). Idempotent.
   void Cancel();
 
  private:
@@ -333,9 +335,6 @@ class SamplerBuilder {
 
   // ---- history --------------------------------------------------------
   SamplerBuilder& WithCache(access::HistoryCacheOptions cache);
-  // Shared fetch budget across the whole group (inline/pipelined modes;
-  // 0 = unlimited). Service mode budgets per tenant via RunOptions.
-  SamplerBuilder& WithGroupQueryBudget(uint64_t query_budget);
   // Durable history: the Sampler opens and owns a store::HistoryStore,
   // warm-starts the cache from it at Build and journals every new fetch
   // into it. To keep the snapshot out of the cache, open the store with
@@ -361,6 +360,8 @@ class SamplerBuilder {
   SamplerBuilder& WithTelemetryServer(uint16_t port);
 
   // ---- execution mode -------------------------------------------------
+  // Each in-process mode is a service::SamplingService; these choose its
+  // options. Inline and pipelined samplers admit one run at a time.
   // num_threads: ParallelFor workers for inline runs (0 = hardware).
   SamplerBuilder& RunInline(unsigned num_threads = 0);
   SamplerBuilder& RunPipelined(net::RequestPipelineOptions pipeline = {});
@@ -407,16 +408,15 @@ class SamplerBuilder {
   bool has_wire_ = false;
   net::LatencyModelOptions latency_;
   access::HistoryCacheOptions cache_;
-  uint64_t group_query_budget_ = 0;
   bool has_owned_store_ = false;
   store::HistoryStoreOptions store_options_;
   store::HistoryStore* external_store_ = nullptr;
   bool has_obs_ = false;
   ObservabilityOptions obs_;
   ExecutionMode mode_ = ExecutionMode::kInline;
-  unsigned inline_threads_ = 0;
-  net::RequestPipelineOptions pipeline_;
-  ServiceConfig service_;
+  // The mode's service sizing; Build() wires in the rest of the stack.
+  service::ServiceOptions service_{.max_sessions = 1,
+                                   .pipeline = {.depth = 0}};
   std::string remote_endpoint_;
   uint64_t remote_rpc_timeout_ms_ = 0;
   RunOptions defaults_;
@@ -427,15 +427,16 @@ class SamplerBuilder {
 };
 
 // The assembled stack. Owns (as configured) the GraphAccess, the
-// RemoteBackend, the HistoryStore, and either a SharedAccessGroup (inline/
-// pipelined), a SamplingService (service mode) or a daemon connection
-// (remote mode). The destructor waits out every outstanding run.
+// RemoteBackend, the HistoryStore, and either a SamplingService (every
+// in-process mode) or a daemon connection (remote mode). The destructor
+// waits out every outstanding run.
 //
 // Threading: Run/accessors are thread-safe. Inline and pipelined modes
-// execute one run at a time (a second Run while one is in flight fails
-// with kFailedPrecondition — successive runs share the group's accumulated
-// history, exactly like successive RunEnsemble calls on one group).
-// Service mode admits up to ServiceConfig::max_sessions concurrent runs.
+// admit one resident run at a time: a second Run fails with kUnavailable
+// until the first run's handle is waited on, canceled or dropped (a
+// finished run nobody retrieved still holds its slot). Successive runs
+// share the sampler's accumulated history. Service mode admits up to
+// ServiceConfig::max_sessions concurrent runs.
 class Sampler {
  public:
   ~Sampler();
@@ -444,15 +445,14 @@ class Sampler {
   Sampler& operator=(const Sampler&) = delete;
 
   // Starts a run with the builder's ensemble defaults / explicit options.
-  // Errors: kInvalidArgument (malformed options), kFailedPrecondition (a
-  // thread-mode run is already in flight), kUnavailable (service admission
-  // refused; retry after a run finishes).
+  // Errors: kInvalidArgument (malformed options), kUnavailable (admission
+  // refused; retry after a run's handle is waited on or dropped).
   util::Result<RunHandle> Run();
   util::Result<RunHandle> Run(const RunOptions& options);
 
-  // Folds the current history cache into the store's snapshot (durable
-  // save point). kFailedPrecondition without a configured store or while
-  // a thread-mode run is in flight.
+  // Folds the current shared history cache into the store's snapshot
+  // (durable save point), also while runs are in flight.
+  // kFailedPrecondition without a configured store.
   util::Status SaveHistory();
 
   ExecutionMode mode() const { return mode_; }
@@ -462,9 +462,8 @@ class Sampler {
   const net::RemoteBackend* remote() const { return remote_.get(); }
   // Simulated wire clock (0 without WithRemoteWire).
   uint64_t sim_now_us() const;
-  // Inline/pipelined modes' group; null in service mode.
-  access::SharedAccessGroup* group() { return group_.get(); }
-  // Service mode's service; null otherwise.
+  // The service every in-process run is a session of; null in remote
+  // mode.
   service::SamplingService* service() { return service_.get(); }
   // Remote mode's daemon connection; null otherwise.
   rpc::Client* remote_client() const { return rpc_client_.get(); }
@@ -487,7 +486,6 @@ class Sampler {
 
   Sampler() = default;
 
-  util::Result<RunHandle> RunThreaded(const RunOptions& options);
   util::Result<RunHandle> RunService(const RunOptions& options);
   util::Result<RunHandle> RunRemote(const RunOptions& options);
   // The walker's stationary bias, probed once per walker type and cached.
@@ -517,8 +515,6 @@ class Sampler {
       const;
 
   ExecutionMode mode_ = ExecutionMode::kInline;
-  unsigned inline_threads_ = 0;
-  net::RequestPipelineOptions pipeline_;
   RunOptions defaults_;
   EstimandSelection estimand_;
   double confidence_ = 0.95;
@@ -529,21 +525,17 @@ class Sampler {
   // it before the backend dies (the tracer outlives the Sampler).
   bool installed_tracer_clock_ = false;
 
-  // Ownership order matters: the store outlives the group/service that
-  // journals into it; the remote wraps the inner backend.
+  // Ownership order matters: the store outlives the service that journals
+  // into it; the remote wraps the inner backend.
   std::unique_ptr<access::GraphAccess> graph_access_;
   std::unique_ptr<net::RemoteBackend> remote_;
   const access::AccessBackend* backend_ = nullptr;
   std::unique_ptr<store::HistoryStore> owned_store_;
   store::HistoryStore* store_ = nullptr;
-  std::unique_ptr<access::SharedAccessGroup> group_;
   std::unique_ptr<service::SamplingService> service_;
   // Remote mode: the dialed daemon connection, shared with every run
   // handle (so cached reads survive the Sampler).
   std::shared_ptr<rpc::Client> rpc_client_;
-  // Thread modes: the per-sampler flight recorder attached to group_
-  // (service mode records per session).
-  std::unique_ptr<obs::FlightRecorder> flight_;
   // The live HTTP endpoint; its serving thread reads registry() and
   // RunsJson(), so ~Sampler stops it before tearing anything else down.
   std::unique_ptr<obs::TelemetryServer> telemetry_;
@@ -554,14 +546,15 @@ class Sampler {
   util::Status warm_start_status_;
 
   mutable std::mutex mu_;
-  // Thread modes: the current (or last) run, reaped by the next Run and
-  // by the destructor.
-  std::shared_ptr<RunHandle::Shared> active_;
   // The live runs' progress trackers, read by scrapes (hw_est_*) and
-  // /runs: each service session under its id (labelled session="<id>"),
-  // the thread modes' current run under 0 (unlabelled). Expired entries
-  // are pruned on read (hence mutable — the readers are logically const).
+  // /runs: under 0 (unlabelled) when the service admits one session at a
+  // time, else each session under its id (labelled session="<id>").
+  // Expired entries are pruned on read (hence mutable — the readers are
+  // logically const).
   mutable std::map<uint64_t, std::weak_ptr<obs::ProgressTracker>> live_runs_;
+  // A one-slot sampler keeps its latest run's tracker (entry 0) scrapeable
+  // until the next Run, also after that run's handles are gone.
+  std::shared_ptr<obs::ProgressTracker> latest_run_;
 
   std::mutex bias_mu_;
   std::map<core::WalkerType, core::StationaryBias> bias_cache_;

@@ -86,9 +86,9 @@ struct EnsembleResult {
   // Total history footprint after the run: resident cache bytes plus each
   // walker's private membership bits.
   uint64_t history_bytes = 0;
-  // Left zeroed by RunEnsemble. The owner of a per-run pipeline (the
-  // pipelined api::Sampler) fills in its wire traffic for this run:
-  // batching and singleflight-dedup effectiveness.
+  // Left zeroed by RunEnsemble. api::Sampler fills in this run's share of
+  // its service pipeline (from the session tenant's stats, so depth stays
+  // empty): batching and singleflight-dedup effectiveness.
   net::RequestPipelineStats pipeline_stats;
 
   uint64_t num_steps() const;

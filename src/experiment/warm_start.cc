@@ -126,7 +126,7 @@ WarmStartResult RunWarmStart(const Dataset& dataset,
       HW_CHECK_MSG((*sampler)->SaveHistory().ok(),
                    "warm-start snapshot write failed");
       result.snapshot_entries =
-          (*sampler)->group()->cache().stats().entries;
+          (*sampler)->service()->shared_cache().stats().entries;
       std::error_code ec;
       const auto file_bytes = std::filesystem::file_size(snapshot_path, ec);
       result.snapshot_file_bytes = ec ? 0 : file_bytes;

@@ -16,8 +16,8 @@
 #include "obs/trace.h"
 
 // Batched, deduplicated, tenant-fair fetch client for a (simulated or real)
-// remote backend — the AsyncFetcher behind the pipelined api::Sampler's
-// RunEnsemble calls and the wire funnel of service::SamplingService.
+// remote backend — the wire funnel of service::SamplingService (and so of
+// the pipelined and service-mode api::Sampler).
 //
 // Four mechanisms, composable because they all live behind one submit
 // queue:
@@ -220,8 +220,7 @@ class RequestPipeline final : public access::AsyncFetcher {
   // Single-tenant convenience (the PR-2 shape): registers `group` as
   // tenant 0 with weight 1. `group` must outlive the pipeline. Typical
   // wiring: construct the pipeline, group.set_async_fetcher(&pipeline),
-  // estimate::RunEnsemble, detach, destroy (the pipelined api::Sampler
-  // does all of this per run).
+  // estimate::RunEnsemble, detach, destroy.
   explicit RequestPipeline(access::SharedAccessGroup* group,
                            RequestPipelineOptions options = {});
   // Waits out every FetchSharedFor call still inside the pipeline. Each

@@ -42,9 +42,9 @@ SamplingService::SamplingService(const access::AccessBackend* backend,
                                  ServiceOptions options)
     : backend_(backend),
       options_(NormalizeServiceOptions(std::move(options))),
-      shared_cache_(options_.cache),
-      pipeline_(options_.pipeline) {
+      shared_cache_(options_.cache) {
   HW_CHECK(backend_ != nullptr);
+  if (options_.pipeline.depth > 0) pipeline_.emplace(options_.pipeline);
   if (options_.store != nullptr && options_.share_history) {
     // Warm start: yesterday's crawls are today's shared history. A failed
     // load (corrupt files) degrades to a cold start, reported here rather
@@ -152,8 +152,12 @@ util::Result<SessionId> SamplingService::Submit(const SessionOptions& options) {
         options_.flight_recorder_capacity, [this] { return ClockNowUs(); });
     session->group->set_flight_recorder(session->flight.get());
   }
-  session->tenant = pipeline_.AddTenant(session->group.get(), options.weight);
-  session->group->set_async_fetcher(pipeline_.tenant_fetcher(session->tenant));
+  if (pipeline_.has_value()) {
+    session->tenant = pipeline_->AddTenant(session->group.get(),
+                                           options.weight);
+    session->group->set_async_fetcher(
+        pipeline_->tenant_fetcher(session->tenant));
+  }
   if (session->options.progress != nullptr) {
     // The tracker's charge probe reads this session's own billing group;
     // RunSession freezes it before Detach can destroy the group.
@@ -177,6 +181,7 @@ void SamplingService::RunSession(Session* session) {
   ensemble_options.seed = session->options.seed;
   ensemble_options.max_steps = session->options.max_steps;
   ensemble_options.query_budget = session->options.query_budget;
+  ensemble_options.num_threads = options_.num_threads;
   ensemble_options.tracer = options_.tracer;
   obs::ProgressTracker* progress = session->options.progress.get();
   ensemble_options.progress = progress;
@@ -194,7 +199,9 @@ void SamplingService::RunSession(Session* session) {
   if (result.ok()) {
     session->report.ensemble = *std::move(result);
     session->report.charged_queries = session->group->charged_queries();
-    session->report.pipeline = pipeline_.tenant_stats(session->tenant);
+    if (pipeline_.has_value()) {
+      session->report.pipeline = pipeline_->tenant_stats(session->tenant);
+    }
     if (session->flight != nullptr) {
       session->report.flight = session->flight->TakeLog();
     }
@@ -251,7 +258,7 @@ util::Status SamplingService::Detach(SessionId id) {
     session = std::move(it->second);
     sessions_.erase(it);
     // A finished session is quiescent on the pipeline; sever its group.
-    pipeline_.RemoveTenant(session->tenant);
+    if (pipeline_.has_value()) pipeline_->RemoveTenant(session->tenant);
     detached_charged_ += session->group->charged_queries();
     ++detached_;
     // The freed slot may admit a queued Submit.
@@ -279,7 +286,7 @@ ServiceStats SamplingService::stats() const {
     stats.charged_queries += session->group->charged_queries();
   }
   if (options_.share_history) stats.cache = shared_cache_.stats();
-  stats.pipeline = pipeline_.stats();
+  if (pipeline_.has_value()) stats.pipeline = pipeline_->stats();
   return stats;
 }
 

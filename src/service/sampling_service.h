@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
 
@@ -30,10 +31,13 @@
 //  * one shared HistoryCache — every neighbor list ANY tenant fetches is
 //    history for all of them (the paper's intra-walk reuse, generalized
 //    across tenants);
-//  * one multi-tenant net::RequestPipeline — a single wire funnel with
-//    per-shard batching, cross-tenant singleflight (two tenants missing
-//    the same node pay one wire fetch) and a weighted-fair scheduler so a
-//    greedy tenant cannot starve light ones;
+//  * optionally one multi-tenant net::RequestPipeline — a single wire
+//    funnel with per-shard batching, cross-tenant singleflight (two
+//    tenants missing the same node pay one wire fetch) and a weighted-fair
+//    scheduler so a greedy tenant cannot starve light ones. Without one,
+//    each walker resolves its misses on its own thread through its
+//    session group's synchronous singleflight path (the api::Sampler's
+//    inline mode: one resident session, no pipeline);
 //  * optionally one store::HistoryStore — the shared journal funnel: every
 //    new insert into the shared cache, whoever fetched it, is journaled
 //    exactly once, and the service warm-starts from the store at
@@ -43,9 +47,10 @@
 // the shared cache: its own walker spec, seed, per-walker stop conditions,
 // its own hard query quota (tenant_query_budget) and its own billing
 // (charged_queries) — so per-tenant accounting stays exact while the
-// history is communal. Sessions run asynchronously on their own threads
-// (one per session plus one per walker, each walker parking on the shared
-// pipeline while it waits for the wire).
+// history is communal. Sessions run asynchronously on their own threads:
+// one per session, plus one per walker when there is a pipeline (each
+// walker parks on it while it waits for the wire), else `num_threads`
+// ParallelFor workers.
 //
 // Lifecycle: Submit() -> admission check (typed kUnavailable refusals when
 // the resident-session or history-memory limit is hit; nothing is started
@@ -129,10 +134,17 @@ struct ServiceOptions {
   // caches (the isolated control arm).
   bool share_history = true;
   access::HistoryCacheOptions cache = {};
-  // pipeline.cross_tenant_dedup is derived from share_history at
-  // construction (isolated tenants must not share in-flight fetches);
-  // whatever the caller sets is overridden when share_history is false.
+  // The sessions' shared wire funnel. pipeline.depth = 0 runs without one:
+  // each walker fetches its own misses synchronously, deduplicated only
+  // within its session. pipeline.cross_tenant_dedup is derived from
+  // share_history at construction (isolated tenants must not share
+  // in-flight fetches); whatever the caller sets is overridden when
+  // share_history is false.
   net::RequestPipelineOptions pipeline = {};
+  // ParallelFor workers per session when there is no pipeline (0 =
+  // hardware concurrency). With a pipeline every walker gets its own
+  // thread instead.
+  unsigned num_threads = 0;
   // Optional durable journal for the shared cache; must outlive the
   // service. LoadInto(shared cache) runs at construction (warm start).
   // Ignored when share_history is false.
@@ -149,7 +161,7 @@ struct ServiceOptions {
   // the caller left that unset.
   obs::Tracer* tracer = nullptr;
   // Per-session flight-recorder ring size: the last N miss-path outcomes
-  // (wire fetch / store hit / join / refusal / error) surfaced in
+  // (wire fetch / join / refusal / error) surfaced in
   // SessionReport::flight. 0 disables recording.
   uint32_t flight_recorder_capacity = 128;
 };
@@ -160,7 +172,7 @@ struct SessionReport {
   // Traces, per-walker stats, merged samples — estimate layer semantics.
   estimate::EnsembleResult ensemble;
   // This tenant's wire traffic, queue waits and budget refusals on the
-  // shared pipeline.
+  // shared pipeline (zeros without one).
   net::TenantPipelineStats pipeline;
   // Backend fetches billed to this tenant (its group's counter).
   uint64_t charged_queries = 0;
@@ -190,7 +202,8 @@ struct ServiceStats {
   uint64_t charged_queries = 0;
   access::HistoryCacheStats cache;        // the shared cache (zeros when
                                           // share_history is false)
-  net::RequestPipelineStats pipeline;     // aggregate over tenants
+  net::RequestPipelineStats pipeline;     // aggregate over tenants (zeros
+                                          // without a pipeline)
 };
 
 class SamplingService {
@@ -228,7 +241,8 @@ class SamplingService {
   // back to a cold cache (e.g. kDataLoss on a corrupt snapshot).
   const util::Status& warm_start_status() const { return warm_start_status_; }
   const access::HistoryCache& shared_cache() const { return shared_cache_; }
-  const net::RequestPipeline& pipeline() const { return pipeline_; }
+  // False when options.pipeline.depth was 0.
+  bool has_pipeline() const { return pipeline_.has_value(); }
   const ServiceOptions& options() const { return options_; }
 
  private:
@@ -240,7 +254,7 @@ class SamplingService {
     SessionReport report;
     std::unique_ptr<access::SharedAccessGroup> group;
     std::unique_ptr<obs::FlightRecorder> flight;  // outlives group use
-    net::TenantId tenant = 0;
+    net::TenantId tenant = 0;  // its pipeline tenant, when there is one
     std::thread thread;  // joined by Detach or the destructor
   };
 
@@ -250,7 +264,7 @@ class SamplingService {
   const access::AccessBackend* backend_;
   ServiceOptions options_;
   access::HistoryCache shared_cache_;
-  net::RequestPipeline pipeline_;
+  std::optional<net::RequestPipeline> pipeline_;
   util::Status warm_start_status_;
 
   mutable std::mutex mu_;

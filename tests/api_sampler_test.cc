@@ -89,28 +89,6 @@ TEST(SamplerBuilderTest, RefusesAttributeEstimandWithoutAttributes) {
   EXPECT_EQ(sampler.status().code(), util::StatusCode::kInvalidArgument);
 }
 
-TEST(SamplerBuilderTest, RefusesGroupBudgetInServiceMode) {
-  graph::Graph graph = TestGraph();
-  auto sampler = SamplerBuilder()
-                     .OverGraph(&graph)
-                     .WithGroupQueryBudget(100)
-                     .RunAsService()
-                     .Build();
-  ASSERT_FALSE(sampler.ok());
-  EXPECT_EQ(sampler.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(SamplerTest, RefusesTenantBudgetOutsideServiceMode) {
-  graph::Graph graph = TestGraph();
-  auto sampler = BaseBuilder(graph).RunInline().Build();
-  ASSERT_TRUE(sampler.ok()) << sampler.status();
-  RunOptions options = (*sampler)->default_run_options();
-  options.tenant_query_budget = 50;
-  auto handle = (*sampler)->Run(options);
-  ASSERT_FALSE(handle.ok());
-  EXPECT_EQ(handle.status().code(), util::StatusCode::kInvalidArgument);
-}
-
 // Observability is opt-in: the flight-recorder capacity DEFAULT (128)
 // must not switch recording on for builders that never call
 // WithObservability, in any mode; opting in does record.
@@ -182,29 +160,86 @@ TEST(SamplerTest, WaitThenReportReturnTheSameReport) {
   }
 }
 
+// Inline and pipelined samplers are one-slot services: an overlapping Run
+// is an admission refusal, and a finished run holds its slot until its
+// handle is waited on, canceled or dropped.
 TEST(SamplerTest, ThreadModesRunOneAtATime) {
   graph::Graph graph = TestGraph();
   auto sampler = BaseBuilder(graph).RunInline().Build();
   ASSERT_TRUE(sampler.ok());
-  // A long walk so the first run is still in flight when the second is
-  // submitted.
   RunOptions options = (*sampler)->default_run_options();
   options.max_steps = 500'000;
   auto first = (*sampler)->Run(options);
   ASSERT_TRUE(first.ok()) << first.status();
+  // Refused whether or not the first run has finished: nobody has waited
+  // on it yet.
   auto second = (*sampler)->Run();
-  if (second.ok()) {
-    // The first run won the race and finished already — allowed, but then
-    // both must succeed.
-    EXPECT_TRUE(second->Wait().ok());
-  } else {
-    EXPECT_EQ(second.status().code(), util::StatusCode::kFailedPrecondition);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), util::StatusCode::kUnavailable);
+  // Finished but never waited on: still resident, still refusing.
+  while (first->Poll() == RunState::kRunning) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  EXPECT_EQ((*sampler)->service()->stats().resident_sessions, 1u);
+  EXPECT_TRUE(util::IsUnavailable((*sampler)->Run().status()));
   EXPECT_TRUE(first->Wait().ok());
   // After Wait, the slot is free again.
   auto third = (*sampler)->Run();
   ASSERT_TRUE(third.ok()) << third.status();
-  EXPECT_TRUE(third->Wait().ok());
+  // Cancel frees it too.
+  third->Cancel();
+  auto fourth = (*sampler)->Run();
+  ASSERT_TRUE(fourth.ok()) << fourth.status();
+  EXPECT_TRUE(fourth->Wait().ok());
+}
+
+// SaveHistory checkpoints the shared cache whenever it is called, also
+// while a run is in flight.
+TEST(SamplerTest, SaveHistoryCheckpointsMidRun) {
+  graph::Graph graph = TestGraph();
+  const std::string snapshot = TempPath("api_sampler_midrun.hwss");
+  std::remove(snapshot.c_str());
+  auto sampler = BaseBuilder(graph)
+                     .WithHistoryStore(store::HistoryStoreOptions{
+                         .snapshot_path = snapshot, .checkpoint_wal_bytes = 0})
+                     .RunInline()
+                     .Build();
+  ASSERT_TRUE(sampler.ok()) << sampler.status();
+  RunOptions options = (*sampler)->default_run_options();
+  options.max_steps = 200'000;
+  auto handle = (*sampler)->Run(options);
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  EXPECT_TRUE((*sampler)->SaveHistory().ok());
+  ASSERT_TRUE(handle->Wait().ok());
+  EXPECT_TRUE((*sampler)->SaveHistory().ok());
+  EXPECT_EQ((*sampler)->history_store()->stats().checkpoints, 2u);
+  std::remove(snapshot.c_str());
+}
+
+// Inline and pipelined runs are service sessions: each report carries its
+// session latency and a flight log of its own misses only.
+TEST(SamplerTest, ThreadModeReportsCarryLatencyAndPerRunFlight) {
+  graph::Graph graph = TestGraph();
+  for (auto configure :
+       {+[](SamplerBuilder& b) { b.RunInline(/*num_threads=*/1); },
+        +[](SamplerBuilder& b) { b.RunPipelined({.depth = 2}); }}) {
+    SamplerBuilder builder = BaseBuilder(graph)
+                                 .WithRemoteWire({.seed = 3,
+                                                  .base_latency_us = 100})
+                                 .WithObservability({});
+    configure(builder);
+    auto sampler = builder.Build();
+    ASSERT_TRUE(sampler.ok()) << sampler.status();
+    auto first = (*sampler)->Run().value().Wait();
+    ASSERT_TRUE(first.ok()) << first.status();
+    EXPECT_GT(first->latency_us, 0u);
+    EXPECT_FALSE(first->flight.events.empty());
+    // The same walk again is all history: no misses of its own to log.
+    auto second = (*sampler)->Run().value().Wait();
+    ASSERT_TRUE(second.ok()) << second.status();
+    EXPECT_EQ(second->charged_queries, 0u);
+    EXPECT_TRUE(second->flight.events.empty());
+  }
 }
 
 TEST(SamplerTest, CancelDiscardsTheRun) {
@@ -236,15 +271,26 @@ TEST(SamplerTest, CancelDiscardsTheRun) {
   }
 }
 
-TEST(SamplerTest, DroppedHandleIsReapedBySampler) {
+// Dropping the last copy of a handle nobody waited on frees its session:
+// the slot must not leak, even on a one-slot sampler.
+TEST(SamplerTest, DroppedHandleFreesItsSession) {
   graph::Graph graph = TestGraph();
-  auto sampler = BaseBuilder(graph).RunPipelined({.depth = 2}).Build();
-  ASSERT_TRUE(sampler.ok());
-  { auto handle = (*sampler)->Run(); ASSERT_TRUE(handle.ok()); }
-  // Never waited: the destructor (and the next Run) must not deadlock or
-  // leak the worker.
-  auto next = (*sampler)->Run();
-  if (next.ok()) {
+  for (auto configure :
+       {+[](SamplerBuilder& b) { b.RunInline(); },
+        +[](SamplerBuilder& b) { b.RunPipelined({.depth = 2}); },
+        +[](SamplerBuilder& b) { b.RunAsService({.max_sessions = 1}); }}) {
+    SamplerBuilder builder = BaseBuilder(graph);
+    configure(builder);
+    auto sampler = builder.Build();
+    ASSERT_TRUE(sampler.ok()) << sampler.status();
+    {
+      auto handle = (*sampler)->Run();
+      ASSERT_TRUE(handle.ok()) << handle.status();
+      RunHandle copy = *handle;  // the last of two copies frees it
+    }
+    EXPECT_EQ((*sampler)->service()->stats().resident_sessions, 0u);
+    auto next = (*sampler)->Run();
+    ASSERT_TRUE(next.ok()) << next.status();
     EXPECT_TRUE(next->Wait().ok());
   }
 }
@@ -290,25 +336,31 @@ TEST(SamplerTest, WarmStartReplaysHistoryAndChargesNothing) {
   std::remove(snapshot.c_str());
 }
 
+// tenant_query_budget is the run's group quota in every in-process mode.
 TEST(SamplerTest, GroupBudgetSurfacesAsBudgetStopAndExactBill) {
   graph::Graph graph = TestGraph();
-  auto sampler = BaseBuilder(graph)
-                     .WithGroupQueryBudget(40)
-                     .RunInline(/*num_threads=*/1)
-                     .Build();
-  ASSERT_TRUE(sampler.ok());
-  RunOptions options = (*sampler)->default_run_options();
-  options.max_steps = 100'000;  // the budget must stop the run
-  auto handle = (*sampler)->Run(options);
-  ASSERT_TRUE(handle.ok());
-  auto report = handle->Wait();
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report->charged_queries, 40u);
-  bool budget_stop = false;
-  for (const auto& trace : report->ensemble.traces) {
-    budget_stop |= util::IsBudgetStop(trace.final_status);
+  for (auto configure :
+       {+[](SamplerBuilder& b) { b.RunInline(/*num_threads=*/1); },
+        +[](SamplerBuilder& b) { b.RunPipelined({.depth = 2}); },
+        +[](SamplerBuilder& b) { b.RunAsService(); }}) {
+    SamplerBuilder builder = BaseBuilder(graph);
+    configure(builder);
+    auto sampler = builder.Build();
+    ASSERT_TRUE(sampler.ok()) << sampler.status();
+    RunOptions options = (*sampler)->default_run_options();
+    options.max_steps = 100'000;  // the budget must stop the run
+    options.tenant_query_budget = 40;
+    auto handle = (*sampler)->Run(options);
+    ASSERT_TRUE(handle.ok());
+    auto report = handle->Wait();
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->charged_queries, 40u);
+    bool budget_stop = false;
+    for (const auto& trace : report->ensemble.traces) {
+      budget_stop |= util::IsBudgetStop(trace.final_status);
+    }
+    EXPECT_TRUE(budget_stop);
   }
-  EXPECT_TRUE(budget_stop);
 }
 
 }  // namespace
