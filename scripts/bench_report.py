@@ -55,6 +55,7 @@ trajectory file can only ever hold a result whose self-checks held.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -175,9 +176,11 @@ def cmake_cache_value(build_dir, key):
     return None
 
 
+@functools.lru_cache(maxsize=None)
 def git_sha():
     """HEAD of the checkout this script lives in, "-dirty" when the tree
-    has uncommitted changes; None outside a git checkout."""
+    has uncommitted changes; None outside a git checkout. Read once, before
+    this run rewrites any tracked BENCH_*.json."""
     root = Path(__file__).resolve().parent.parent
     try:
         sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
